@@ -31,12 +31,7 @@ from .oracles import (
     min_edge_oriented_clique,
     validate_homomorphism,
 )
-from .pipeline import (
-    colour_surface_graph,
-    discharge_check,
-    reduce_graph,
-    surface_parameters,
-)
+from .pipeline import colour_surface_graph, surface_parameters
 from .rng import derive_seed
 from .targets import (
     cyclic_k44_target,
@@ -306,7 +301,7 @@ def run_pipeline_batch(seed: int = DEFAULT_SEED, use_cache: bool = True) -> list
         except OrichromeError as exc:
             entry["valid"] = False
             entry["error"] = type(exc).__name__
-            records.append({"entry": entry, "result": None, "graph": g, "genus": genus})
+            records.append({"entry": entry, "result": None})
             continue
         prefix = min(surface_parameters(genus).reserved_capacity, res.core_size)
         structure_ok = all(c >= 1 for c in res.replay_classes.values())
@@ -326,7 +321,7 @@ def run_pipeline_batch(seed: int = DEFAULT_SEED, use_cache: bool = True) -> list
                 "debug_checks": res.debug_checks,
             }
         )
-        records.append({"entry": entry, "result": res, "graph": g, "genus": genus})
+        records.append({"entry": entry, "result": res})
     if use_cache:
         _batch_cache[seed] = records
     return records
@@ -348,31 +343,40 @@ def criterion_7(seed: int = DEFAULT_SEED, fresh: bool = False) -> CriterionResul
 
 
 def criterion_8(seed: int = DEFAULT_SEED) -> CriterionResult:
-    """Discharging on every core from criterion 7: exact, nonnegative, degree-capped."""
+    """Discharging on every core from criterion 7: exact, nonnegative, degree-capped.
+
+    Reads the ledgers the criterion 7 runs recorded; a run that ended in an
+    error has no ledger to check and fails this criterion.
+    """
     t0 = time.perf_counter()
     records = run_pipeline_batch(seed)
+    missing = 0
     nonempty = 0
     conservation_bad = 0
     negative_bad = 0
     degree_bad = 0
     for r in records:
-        reduction = reduce_graph(r["graph"])
-        if reduction.core.n == 0:
+        res = r["result"]
+        if res is None:
+            missing += 1
+            continue
+        if res.core_size == 0:
             continue
         nonempty += 1
-        ledger, ok = discharge_check(reduction.core, r["genus"])
-        if not ledger.conservation_ok():
+        if not res.ledger.conservation_ok():
             conservation_bad += 1
-        if any(c < 0 for c in ledger.final.values()):
+        if any(c < 0 for c in res.ledger.final.values()):
             negative_bad += 1
-        if not ok:
+        if not res.max_degree_ok:
             degree_bad += 1
     elapsed = time.perf_counter() - t0
-    passed = conservation_bad == 0 and negative_bad == 0 and degree_bad == 0
+    passed = missing == 0 and conservation_bad == 0 and negative_bad == 0 and degree_bad == 0
     detail = (
         f"{nonempty} nonempty cores of {len(records)}, "
         f"{conservation_bad + negative_bad + degree_bad} charge/degree failures"
     )
+    if missing:
+        detail += f", {missing} runs without a result"
     report = _dumps(
         {
             "cores": len(records),
@@ -389,7 +393,8 @@ def criterion_9(seed: int = DEFAULT_SEED) -> CriterionResult:
     """Criteria 2 and 7 reports are byte-identical across repeat runs."""
     t0 = time.perf_counter()
     sampler_same = criterion_2(seed).report == criterion_2(seed).report
-    pipeline_same = criterion_7(seed, fresh=True).report == criterion_7(seed, fresh=True).report
+    # the first criterion 7 run may come from the batch cache; the rerun is fresh
+    pipeline_same = criterion_7(seed).report == criterion_7(seed, fresh=True).report
     elapsed = time.perf_counter() - t0
     passed = sampler_same and pipeline_same
     detail = f"sampler identical: {sampler_same}; pipeline identical: {pipeline_same}"

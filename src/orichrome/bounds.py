@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, NonConvergence, PreconditionViolated
+from .errors import DomainError, InvariantViolation, NonConvergence, PreconditionViolated
 
 LN2 = math.log(2)
 _W_TOL = 1e-12
@@ -121,7 +121,8 @@ def chi_upper_bound(g: int) -> BoundReport:
     headline = _HEADLINE_FACTOR * g * math.log(g)
     classes = 144 * g - 162
     intermediate = classes * math.ceil(_CLASS_GROWTH * math.log(classes))
-    assert intermediate <= headline
+    if intermediate > headline:
+        raise InvariantViolation(f"construction size {intermediate} exceeds the headline {headline}")
     return BoundReport(
         kind="chi_upper",
         bound_value=headline,

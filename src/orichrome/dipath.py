@@ -11,7 +11,7 @@ import json
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import DegeneracyViolation, InvalidInner, PreconditionViolated
+from .errors import DegeneracyViolation, InvalidInner, InvariantViolation, PreconditionViolated
 from .graphs import OrientedGraph, VertexOrdering, bits
 
 _STRIPPED_BACK_DEGREE = 6
@@ -96,7 +96,8 @@ def greedy_two_dipath(g: OrientedGraph, ordering: VertexOrdering) -> DipathColou
         coloured_mask |= 1 << v
     palette = max(colours.values(), default=0)
     bound = two_dipath_palette_bound(d_eff, g.max_degree())
-    assert g.n == 0 or palette <= bound, f"palette {palette} exceeded bound {bound}"
+    if g.n and palette > bound:
+        raise InvariantViolation(f"palette {palette} exceeded bound {bound}")
     return DipathColouring(colours=colours, palette_size=palette)
 
 
@@ -173,5 +174,6 @@ def surface_two_dipath(
         seen |= 1 << v
     inner = greedy_two_dipath(stripped, VertexOrdering(ordering.order, max_back))
     result = stratified_two_dipath(g, strip, inner)
-    assert result.palette_size <= 138 * genus - 162, "surface palette bound exceeded"
+    if result.palette_size > 138 * genus - 162:
+        raise InvariantViolation(f"surface palette {result.palette_size} exceeds 138g-162")
     return result

@@ -11,7 +11,7 @@ from __future__ import annotations
 from itertools import combinations, permutations, product
 from typing import Iterator
 
-from .errors import TooLarge
+from .errors import InvariantViolation, TooLarge
 from .graphs import OrientedGraph, SimpleGraph, bits
 from .rng import SplitMix64, derive_seed
 
@@ -195,7 +195,8 @@ def _canonical_tournament_key(out: list[int]) -> tuple[int, ...]:
         t = tuple(key)
         if best is None or t < best:
             best = t
-    assert best is not None
+    if best is None:
+        raise InvariantViolation("no relabelling was tried")
     return best
 
 

@@ -258,10 +258,7 @@ def degeneracy_ordering(g) -> VertexOrdering:
     the largest degree seen at removal time is the degeneracy.
     Accepts an OrientedGraph or a SimpleGraph.
     """
-    if isinstance(g, OrientedGraph):
-        adj = [g.adj_mask(u) for u in range(g.n)]
-    else:
-        adj = [g.adj_mask(u) for u in range(g.n)]
+    adj = [g.adj_mask(u) for u in range(g.n)]
     n = len(adj)
     alive = (1 << n) - 1
     deg = [adj[u].bit_count() for u in range(n)]
@@ -279,10 +276,7 @@ def degeneracy_ordering(g) -> VertexOrdering:
 
 def back_degrees(g, order: Iterable[int]) -> list[int]:
     """Back-degree of each position: neighbours among earlier order positions."""
-    if isinstance(g, OrientedGraph):
-        adj = [g.adj_mask(u) for u in range(g.n)]
-    else:
-        adj = [g.adj_mask(u) for u in range(g.n)]
+    adj = [g.adj_mask(u) for u in range(g.n)]
     seen = 0
     out = []
     for v in order:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .dipath import DipathColouring, surface_two_dipath
 from .errors import (
@@ -26,7 +27,6 @@ from .errors import (
     GenusAssumptionViolated,
     InvariantViolation,
     NotReduced,
-    PreconditionViolated,
 )
 from .graphs import OrientedGraph, bits, degeneracy_ordering
 from .rng import derive_seed
@@ -127,6 +127,10 @@ class _WorkGraph:
     def arc_list(self) -> list[tuple[int, int]]:
         return [(u, v) for u in bits(self.alive) for v in bits(self.out[u])]
 
+    def incident(self, v: int) -> tuple[tuple[int, int], ...]:
+        """Arcs at v as (tail, head), by ascending neighbour."""
+        return tuple((v, u) if self.out[v] >> u & 1 else (u, v) for u in bits(self.adj(v)))
+
 
 @dataclass
 class ReductionStep:
@@ -186,17 +190,12 @@ def reduce_graph(g: OrientedGraph) -> ReductionResult:
     while True:
         v = _find_removable_vertex(wk)
         if v is not None:
-            nbrs = sorted(bits(wk.adj(v)))
-            incident = tuple(
-                (v, u) if wk.out[v] >> u & 1 else (u, v) for u in nbrs
-            )
+            incident = wk.incident(v)
             completion = []
-            for i in range(len(nbrs)):
-                for j in range(i + 1, len(nbrs)):
-                    a, b = nbrs[i], nbrs[j]
-                    if not wk.has_edge(a, b):
-                        wk.add_arc(a, b)
-                        completion.append((a, b))
+            for a, b in combinations(bits(wk.adj(v)), 2):
+                if not wk.has_edge(a, b):
+                    wk.add_arc(a, b)
+                    completion.append((a, b))
             wk.remove_vertex(v)
             steps.append(
                 ReductionStep(
@@ -224,7 +223,8 @@ def reduce_graph(g: OrientedGraph) -> ReductionResult:
                 )
             )
         new_metric = (wk.vertex_count(), wk.arc_count())
-        assert new_metric < metric
+        if new_metric >= metric:
+            raise InvariantViolation(f"reduction step left (vertices, arcs) at {new_metric}")
         metric = new_metric
 
     core_vertices = tuple(bits(wk.alive))
@@ -285,8 +285,10 @@ def discharge_check(core: OrientedGraph, genus: int) -> tuple[ChargeLedger, bool
         elif d == 5:
             for u in core.neighbours(v):
                 ledger.transfer(u, v, fifth)
-    assert all(c >= 0 for c in ledger.final.values())
-    assert ledger.conservation_ok()
+    if any(c < 0 for c in ledger.final.values()):
+        raise InvariantViolation("discharging left a negative charge")
+    if not ledger.conservation_ok():
+        raise InvariantViolation("discharging changed the total charge")
     return ledger, core.max_degree() <= params.core_degree_limit
 
 
@@ -297,9 +299,6 @@ class Homomorphism:
         self.source = source
         self.target = target
         self.mapping: dict[int, int] = dict(mapping or {})
-
-    def image_class(self, v: int) -> int:
-        return self.target.class_of(self.mapping[v])
 
     def validate(self, arcs=None) -> bool:
         """Mapped arcs land on target arcs; pool images stay injective."""
@@ -318,24 +317,12 @@ class Homomorphism:
         return len(pool_images) == len(set(pool_images))
 
 
-def _pool_is_untouched(target) -> bool:
-    if isinstance(target, LazyTarget):
-        return not target.minted(0)
-    return not target.extra_arcs
-
-
-def _pool_slots(target, count: int) -> list[int]:
-    if isinstance(target, LazyTarget):
-        if count > target.pool_capacity:
-            raise CapacityExceeded(
-                f"{count} vertices exceed the reserved pool capacity {target.pool_capacity}"
-            )
-        return [target.mint_pool() for _ in range(count)]
-    if count > len(target.pool):
-        raise CapacityExceeded(
-            f"{count} vertices exceed the reserved pool capacity {len(target.pool)}"
-        )
-    return list(target.pool[:count])
+def _embed_pool(hom: Homomorphism, vertices, arcs) -> None:
+    """Map ``vertices`` injectively into the reserved pool, then install ``arcs``."""
+    for v, x in zip(vertices, hom.target.reserve_pool(len(vertices))):
+        hom.mapping[v] = x
+    for a, b in arcs:
+        hom.target.install_pool_arc(hom.mapping[a], hom.mapping[b])
 
 
 def embed_small(g: OrientedGraph, target) -> Homomorphism:
@@ -343,12 +330,8 @@ def embed_small(g: OrientedGraph, target) -> Homomorphism:
 
     Installs one pool arc per source arc, so it needs the pool pristine.
     """
-    if not _pool_is_untouched(target):
-        raise PreconditionViolated("reserved pool already carries arcs")
-    slots = _pool_slots(target, g.n)
-    hom = Homomorphism(g, target, {v: slots[v] for v in range(g.n)})
-    for u, v in g.arcs():
-        target.install_pool_arc(slots[u], slots[v])
+    hom = Homomorphism(g, target)
+    _embed_pool(hom, range(g.n), g.arcs())
     return hom
 
 
@@ -360,15 +343,6 @@ def _merge_constraint(constraints: dict[int, int], image: int, sign: int) -> Non
         raise ConstraintConflict(
             f"image {image} required with both orientations"
         )
-
-
-def _extend(hom: Homomorphism, v: int, class_index: int, constraints: dict[int, int]) -> int:
-    if isinstance(hom.target, LazyTarget):
-        x = hom.target.query(class_index, constraints)
-    else:
-        x = hom.target.realizer(class_index, constraints)
-    hom.mapping[v] = x
-    return x
 
 
 def extend_vertex(partial: Homomorphism, v: int, class_index: int) -> Homomorphism:
@@ -386,8 +360,16 @@ def extend_vertex(partial: Homomorphism, v: int, class_index: int) -> Homomorphi
         if img is None:
             continue
         _merge_constraint(constraints, img, 1 if src.has_arc(v, u) else -1)
-    _extend(partial, v, class_index, constraints)
+    partial.mapping[v] = partial.target.query(class_index, constraints)
     return partial
+
+
+def _work_constraints(hom: Homomorphism, wk: _WorkGraph, v: int) -> dict[int, int]:
+    """Image -> sign toward it for every current neighbour of v in the work graph."""
+    constraints: dict[int, int] = {}
+    for u in bits(wk.adj(v)):
+        _merge_constraint(constraints, hom.mapping[u], 1 if wk.out[v] >> u & 1 else -1)
+    return constraints
 
 
 def _first_free_class(target, avoid: set[int]) -> int:
@@ -502,43 +484,26 @@ def colour_surface_graph(
         ordering = degeneracy_ordering(core)
         order = ordering.order
         core_ordering = tuple(orig[c] for c in order)
-        prefix_len = min(params.reserved_capacity, core.n)
-        prefix = order[:prefix_len]
-        if not _pool_is_untouched(target):
-            raise PreconditionViolated("reserved pool already carries arcs")
-        slots = _pool_slots(target, prefix_len)
-        pool_map = {c: slots[i] for i, c in enumerate(prefix)}
-        for c in prefix:
-            v = orig[c]
-            hom.mapping[v] = pool_map[c]
-            core_classes[v] = target.class_of(pool_map[c])
-        for a, b in core.arcs():
-            if a in pool_map and b in pool_map:
-                target.install_pool_arc(pool_map[a], pool_map[b])
+        prefix = order[: params.reserved_capacity]
+        in_pool = set(prefix)
+        core_hom = Homomorphism(core, target)
+        _embed_pool(
+            core_hom, prefix, [(a, b) for a, b in core.arcs() if a in in_pool and b in in_pool]
+        )
         pool_vertices = tuple(orig[c] for c in prefix)
 
-        if core.n > prefix_len:
+        if core.n > len(prefix):
             try:
                 psi = surface_two_dipath(core, genus, ordering)
             except DegeneracyViolation as exc:
                 raise GenusAssumptionViolated(
                     f"degeneracy ordering breaks the genus promise: {exc}"
                 ) from exc
-            mapped = set(prefix)
-            for pos in range(prefix_len, core.n):
-                c = order[pos]
-                constraints: dict[int, int] = {}
-                for u in core.neighbours(c):
-                    if u in mapped:
-                        _merge_constraint(
-                            constraints,
-                            hom.mapping[orig[u]],
-                            1 if core.has_arc(c, u) else -1,
-                        )
-                cls = psi.colours[c]
-                image = _extend(hom, orig[c], cls, constraints)
-                core_classes[orig[c]] = target.class_of(image)
-                mapped.add(c)
+            for c in order[len(prefix):]:
+                extend_vertex(core_hom, c, psi.colours[c])
+        for c, x in core_hom.mapping.items():
+            hom.mapping[orig[c]] = x
+            core_classes[orig[c]] = target.class_of(x)
 
     # replay the peeling in reverse on a work graph seeded with the core
     wk = _WorkGraph(g.n)
@@ -555,56 +520,34 @@ def colour_surface_graph(
                 wk.remove_pair(a, b)
             v = step.vertex
             wk.add_vertex(v)
-            constraints = {}
             for a, b in step.incident:
                 wk.add_arc(a, b)
-                u = b if a == v else a
-                _merge_constraint(
-                    constraints, hom.mapping[u], 1 if a == v else -1
-                )
+            constraints = _work_constraints(hom, wk, v)
             cls = _first_free_class(target, _classes_of(target, constraints))
-            _extend(hom, v, cls, constraints)
+            hom.mapping[v] = target.query(cls, constraints)
             replay_classes[v] = cls
             if debug:
                 debug_checks += _assert_realized(hom, step.incident)
         else:
             v, w = step.low_vertex, step.other
-            w_constraints: dict[int, int] = {}
-            for u in bits(wk.adj(w)):
-                _merge_constraint(
-                    w_constraints,
-                    hom.mapping[u],
-                    1 if wk.out[w] >> u & 1 else -1,
-                )
-            a_images = [hom.mapping[u] for u in bits(wk.adj(v))]
-            avoid = _classes_of(target, w_constraints) | _classes_of(target, a_images)
+            # v and w are not adjacent here, so re-mapping w leaves v_constraints as is
+            w_constraints = _work_constraints(hom, wk, w)
+            v_constraints = _work_constraints(hom, wk, v)
+            avoid = _classes_of(target, w_constraints) | _classes_of(target, v_constraints)
             cls_w = _first_free_class(target, avoid)
-            _extend(hom, w, cls_w, w_constraints)
+            hom.mapping[w] = target.query(cls_w, w_constraints)
             replay_classes[w] = cls_w
             z = hom.mapping[w]
 
-            v_constraints: dict[int, int] = {}
-            for u in bits(wk.adj(v)):
-                _merge_constraint(
-                    v_constraints,
-                    hom.mapping[u],
-                    1 if wk.out[v] >> u & 1 else -1,
-                )
-            assert z not in v_constraints
+            if z in v_constraints:
+                raise InvariantViolation(f"image {z} of {w} already constrains {v}")
             _merge_constraint(v_constraints, z, 1 if step.arc == (v, w) else -1)
             cls_v = _first_free_class(target, _classes_of(target, v_constraints))
-            _extend(hom, v, cls_v, v_constraints)
+            hom.mapping[v] = target.query(cls_v, v_constraints)
             replay_classes[v] = cls_v
             wk.add_arc(*step.arc)
             if debug:
-                touched = [
-                    (w, u) if wk.out[w] >> u & 1 else (u, w)
-                    for u in bits(wk.adj(w))
-                ] + [
-                    (v, u) if wk.out[v] >> u & 1 else (u, v)
-                    for u in bits(wk.adj(v))
-                ]
-                debug_checks += _assert_realized(hom, touched)
+                debug_checks += _assert_realized(hom, wk.incident(w) + wk.incident(v))
 
     valid = hom.validate()
     colours_used = len(set(hom.mapping.values()))

@@ -9,7 +9,9 @@ N reaches ceil(8^d * ln k); the verifier certifies concrete instances.
 
 RestrictedTarget merges the top classes into a reserved pool and deletes the
 arcs inside the pool; LazyTarget materialises the same kind of object on
-demand, minting vertices and fixing orientations only when queried.
+demand, minting vertices and fixing orientations only when queried.  Both
+answer the same calls: reserve_pool, query, install_pool_arc, class_of,
+orientation and free_classes.
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ from .errors import (
     DomainError,
     InvalidClass,
     InvariantViolation,
+    ParseError,
+    PreconditionViolated,
     RealizationError,
 )
 from .graphs import OrientedGraph
@@ -71,6 +75,7 @@ class FullTarget:
         self.certified = False
         n = k * N
         out = [0] * n
+        inn = [0] * n
         for u, v in arcs:
             if not (0 <= u < n and 0 <= v < n):
                 raise InvariantViolation(f"arc ({u},{v}) out of range")
@@ -79,19 +84,13 @@ class FullTarget:
             if out[u] >> v & 1 or out[v] >> u & 1:
                 raise InvariantViolation(f"pair ({u},{v}) oriented twice")
             out[u] |= 1 << v
+            inn[v] |= 1 << u
         self._out = out
         class_mask = (1 << N) - 1
         for u in range(n):
             expected = ((1 << n) - 1) ^ (class_mask << (u // N * N))
-            if (out[u] | self._in_mask(u)) != expected:
+            if (out[u] | inn[u]) != expected:
                 raise InvariantViolation(f"vertex {u} is not complete to the other classes")
-
-    def _in_mask(self, u: int) -> int:
-        mask = 0
-        for v in range(self.k * self.N):
-            if self._out[v] >> u & 1:
-                mask |= 1 << v
-        return mask
 
     @classmethod
     def _from_out_masks(cls, k: int, d: int, N: int, out: list[int], seed: int | None) -> "FullTarget":
@@ -153,10 +152,19 @@ class FullTarget:
 
     @classmethod
     def from_json(cls, text: str) -> "FullTarget":
-        obj = json.loads(text)
-        k, d, N = obj["k"], obj["d"], obj["N"]
-        raw = base64.b64decode(obj["arcs"])
+        """Inverse of to_json; malformed text raises ParseError."""
+        try:
+            obj = json.loads(text)
+            k, d, N = obj["k"], obj["d"], obj["N"]
+            raw = base64.b64decode(obj["arcs"], validate=True)
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ParseError(f"bad target JSON: {exc!r}", 1) from None
+        if not all(type(x) is int and x >= 1 for x in (k, d, N)):
+            raise ParseError(f"k, d, N must be positive integers, got {k!r}, {d!r}, {N!r}", 1)
         n = k * N
+        need = (n * (n - 1) // 2 + 7) // 8
+        if len(raw) < need:
+            raise ParseError(f"arcs field holds {len(raw)} bytes, a {k}x{N} target needs {need}", 1)
         out = [0] * n
         idx = 0
         for u in range(n):
@@ -345,6 +353,14 @@ def minimal_full_N(k: int, d: int, n_cap: int = 6, budget: int | None = None) ->
 # -- restricted targets --------------------------------------------------------
 
 
+def _check_pool_request(in_use: bool, count: int, capacity: int) -> None:
+    """The reserve_pool gates every target shares, in their fixed order."""
+    if in_use:
+        raise PreconditionViolated("reserved pool already carries arcs")
+    if count > capacity:
+        raise CapacityExceeded(f"{count} vertices exceed the reserved pool capacity {capacity}")
+
+
 class RestrictedTarget:
     """A full target with its top classes merged into a reserved pool.
 
@@ -404,14 +420,12 @@ class RestrictedTarget:
         self.extra_arcs.append((a, b))
         self._extra_set.add((a, b))
 
-    def _plus_masks(self, c: int) -> dict[int, int]:
-        cached = self._plus_cache.get(c)
-        if cached is None:
-            cached = {}
-            self._plus_cache[c] = cached
-        return cached
+    def reserve_pool(self, count: int) -> list[int]:
+        """The first ``count`` pool vertices; the pool must carry no arcs yet."""
+        _check_pool_request(bool(self.extra_arcs), count, self.pool_capacity)
+        return list(self.pool[:count])
 
-    def realizer(self, class_index: int, constraints: dict[int, int]) -> int:
+    def query(self, class_index: int, constraints: dict[int, int]) -> int:
         """A class vertex pointing per ``constraints`` (image -> sign toward it)."""
         if not 1 <= class_index <= self.free_classes:
             raise InvalidClass(f"class {class_index} outside 1..{self.free_classes}")
@@ -420,7 +434,7 @@ class RestrictedTarget:
             raise ArityExceeded(f"{len(constraints)} constraints exceed certified arity {arity}")
         base = (class_index - 1) * self.base.N
         full = (1 << self.base.N) - 1
-        cache = self._plus_masks(class_index)
+        cache = self._plus_cache.setdefault(class_index, {})
         mask = full
         for u, sign in constraints.items():
             if self.base.class_of(u) == class_index:
@@ -438,6 +452,8 @@ class RestrictedTarget:
                     f"class {class_index} realizes no vertex for {constraints}"
                 )
         return base + (mask & -mask).bit_length() - 1
+
+    realizer = query  # older name, still called and traced by bench/
 
 
 def build_restricted(base: FullTarget, free_classes: int) -> RestrictedTarget:
@@ -490,6 +506,11 @@ class LazyTarget:
         if len(self._minted.get(0, ())) >= self.pool_capacity:
             raise CapacityExceeded(f"reserved pool holds only {self.pool_capacity} vertices")
         return self._mint(0)
+
+    def reserve_pool(self, count: int) -> list[int]:
+        """Mint ``count`` pool vertices; no pool vertex may be minted yet."""
+        _check_pool_request(bool(self._minted.get(0)), count, self.pool_capacity)
+        return [self.mint_pool() for _ in range(count)]
 
     def _get(self, a: int, b: int) -> int | None:
         """Memoized orientation as a sign from a's point of view."""

@@ -6,6 +6,9 @@ the criterion is implemented faithfully and the library genuinely cannot
 meet it (see the assertion message for the measured outcome).
 """
 
+import hashlib
+import json
+
 from orichrome import acceptance
 
 
@@ -53,3 +56,25 @@ def test_criterion_8_discharging_cores():
 
 def test_criterion_9_byte_identical_reruns():
     _check(acceptance.criterion_9())
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("ascii")).hexdigest()
+
+
+def test_reports_pinned_at_seed_0():
+    # byte-identity guard: a change that keeps behaviour leaves these
+    # seed-0 digests as they are
+    assert _sha256(acceptance.criterion_7(0).report) == (
+        "b39a38112bbb82fd2d27a1ba67ab38b301366f062327b052ebc11f5deba3d49c"
+    )
+    assert _sha256(acceptance.criterion_8(0).report) == (
+        "e252fc48688accb1855992ba81f452aac816a0820d421d432bc71c95e6d39cc7"
+    )
+    sampler = json.loads(acceptance.criterion_2(0).report)
+    assert sampler["k5"]["sha256"] == (
+        "153b18da41af611db1858eedd52eb09c209d013033cda3e0cd6342e7bc76e7f7"
+    )
+    assert sampler["k6"]["sha256"] == (
+        "2cffe7a097738571d442f9f43288b6787074005d2e56a49ef6068826b1ba8766"
+    )

@@ -15,7 +15,8 @@ from orichrome import (
     lambert_w0,
     order_upper_from_min_degree,
 )
-from orichrome.errors import DomainError, PreconditionViolated
+import orichrome.bounds as bounds_module
+from orichrome.errors import DomainError, InvariantViolation, PreconditionViolated
 
 
 # -- simple counting bounds --------------------------------------------------------
@@ -130,6 +131,12 @@ def test_chi_upper_dominates_intermediate_everywhere():
 def test_chi_upper_domain():
     with pytest.raises(DomainError):
         chi_upper_bound(1)
+
+
+def test_upper_bound_construction_check_raises(monkeypatch):
+    monkeypatch.setattr(bounds_module, "_HEADLINE_FACTOR", 1)
+    with pytest.raises(InvariantViolation):
+        chi_upper_bound(2)
 
 
 # -- CSV table ------------------------------------------------------------------------------

@@ -114,6 +114,31 @@ def test_full_verify_failing_target(capsys, tmp_path):
     assert data["witness"] == {"class": 1, "vertices": [4, 6], "signs": [-1, -1]}
 
 
+def _k44_payload(**changes):
+    payload = json.loads(cyclic_k44_target(2).to_json())
+    payload.update(changes)
+    return {key: value for key, value in payload.items() if value is not None}
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        _k44_payload(k=None),
+        _k44_payload(arcs="%%%%"),
+        _k44_payload(arcs="AAAA"),  # 3 bytes; 28 pairs need 4
+        _k44_payload(N=0),
+    ],
+    ids=["missing-key", "not-base64", "truncated-arcs", "zero-class-size"],
+)
+def test_full_verify_malformed_target(capsys, tmp_path, payload):
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "full", "verify", str(f))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ParseError: line 1: ")
+
+
 # -- colour ------------------------------------------------------------------
 
 

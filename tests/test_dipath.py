@@ -20,13 +20,25 @@ from orichrome import (
     toroidal_grid,
     two_dipath_palette_bound,
 )
-from orichrome.errors import DegeneracyViolation, InvalidInner, PreconditionViolated
+import orichrome.dipath as dipath_module
+from orichrome.errors import (
+    DegeneracyViolation,
+    InvalidInner,
+    InvariantViolation,
+    PreconditionViolated,
+)
 
 seeds = st.integers(min_value=0, max_value=2**62)
 
 
 def _greedy(g):
     return greedy_two_dipath(g, degeneracy_ordering(g))
+
+
+def test_palette_bound_breach_raises(monkeypatch):
+    monkeypatch.setattr(dipath_module, "two_dipath_palette_bound", lambda d, max_degree: 0)
+    with pytest.raises(InvariantViolation):
+        _greedy(random_tournament(4, 0))
 
 
 # -- greedy colourer -------------------------------------------------------------

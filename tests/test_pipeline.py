@@ -224,16 +224,23 @@ def test_embed_restricted_pool():
     assert sorted(hom.mapping.values()) == list(r.pool)
 
 
-def test_embed_pigeonhole():
-    t = LazyTarget(4, 4, seed=0)
-    assert embed_small(random_tournament(4, 1), t).validate()
-    t2 = LazyTarget(4, 4, seed=0)
+# both pools hold four vertices
+POOLS = {
+    "lazy": lambda: LazyTarget(4, 4, seed=0),
+    "restricted": lambda: build_restricted(cyclic_k44_target(1), 1),
+}
+
+
+@pytest.mark.parametrize("make_target", POOLS.values(), ids=list(POOLS))
+def test_embed_pigeonhole(make_target):
+    assert embed_small(random_tournament(4, 1), make_target()).validate()
     with pytest.raises(CapacityExceeded):
-        embed_small(random_tournament(5, 1), t2)
+        embed_small(random_tournament(5, 1), make_target())
 
 
-def test_embed_requires_fresh_pool():
-    t = LazyTarget(4, 4, seed=0)
+@pytest.mark.parametrize("make_target", POOLS.values(), ids=list(POOLS))
+def test_embed_requires_fresh_pool(make_target):
+    t = make_target()
     embed_small(random_tournament(2, 1), t)
     with pytest.raises(PreconditionViolated):
         embed_small(random_tournament(2, 1), t)
