@@ -16,6 +16,7 @@ from .bounds import (
     genus_upper_from_edges,
     lambert_w0,
     order_upper_from_min_degree,
+    surface_parameters,
 )
 from .dipath import (
     DipathColouring,
@@ -73,7 +74,6 @@ from .pipeline import (
     embed_small,
     extend_vertex,
     reduce_graph,
-    surface_parameters,
 )
 from .rng import SplitMix64, derive_seed
 from .targets import (

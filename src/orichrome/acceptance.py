@@ -13,7 +13,7 @@ import math
 import time
 from dataclasses import dataclass
 
-from .bounds import chi_lower_bound, extremal_clique_order, lambert_w0
+from .bounds import chi_lower_bound, extremal_clique_order, lambert_w0, surface_parameters
 from .dipath import greedy_two_dipath, is_valid_two_dipath, two_dipath_palette_bound
 from .errors import OrichromeError
 from .generate import (
@@ -31,7 +31,7 @@ from .oracles import (
     min_edge_oriented_clique,
     validate_homomorphism,
 )
-from .pipeline import colour_surface_graph, surface_parameters
+from .pipeline import colour_surface_graph
 from .rng import derive_seed
 from .targets import (
     cyclic_k66_target,

@@ -16,7 +16,35 @@ LN2 = math.log(2)
 _W_TOL = 1e-12
 _W_MAX_ITER = 100
 _HEADLINE_FACTOR = 1 << 40
-_CLASS_GROWTH = 8**10
+
+
+@dataclass(frozen=True)
+class SurfaceParameters:
+    """Every genus-g number the surface construction uses, in one place."""
+
+    genus: int
+    free_classes: int
+    reserved_capacity: int
+    total_classes: int
+    core_degree_limit: int
+    strip_size: int
+    back_degree_limit: int
+    fullness_arity: int
+
+
+def surface_parameters(genus: int) -> SurfaceParameters:
+    if genus < 2:
+        raise DomainError("surface machinery needs genus >= 2")
+    return SurfaceParameters(
+        genus=genus,
+        free_classes=138 * genus - 162,
+        reserved_capacity=6 * genus,
+        total_classes=144 * genus - 162,
+        core_degree_limit=12 * genus - 12,
+        strip_size=6 * genus - 1,
+        back_degree_limit=6,
+        fullness_arity=10,
+    )
 
 
 @dataclass
@@ -114,13 +142,13 @@ def chi_upper_bound(g: int) -> BoundReport:
     """Headline upper bound 2^40 * g * ln(g) with its construction-size check.
 
     The construction actually needs (144g-162) * ceil(8^10 * ln(144g-162))
-    target vertices; that intermediate is asserted to sit under the headline.
+    target vertices, 8^10 coming from fullness arity 10; that intermediate
+    is asserted to sit under the headline.
     """
-    if g < 2:
-        raise DomainError("upper bound needs g >= 2")
+    params = surface_parameters(g)
     headline = _HEADLINE_FACTOR * g * math.log(g)
-    classes = 144 * g - 162
-    intermediate = classes * math.ceil(_CLASS_GROWTH * math.log(classes))
+    classes = params.total_classes
+    intermediate = classes * math.ceil(8**params.fullness_arity * math.log(classes))
     if intermediate > headline:
         raise InvariantViolation(f"construction size {intermediate} exceeds the headline {headline}")
     return BoundReport(

@@ -1,9 +1,10 @@
 """Command-line front end.
 
 stdout carries machine-readable data only (canonical JSON or CSV); stderr
-carries diagnostics.  Exit codes: 0 success, 1 bad input or broken invariant,
-2 resource cap or budget refused the work, 3 the asserted genus was detected
-to be impossible for the input graph.
+carries diagnostics.  Exit codes: 0 success, 1 bad input or broken invariant
+(or the reader closed stdout early, which prints nothing), 2 resource cap or
+budget refused the work, 3 the asserted genus was detected to be impossible
+for the input graph.
 """
 
 from __future__ import annotations
@@ -246,7 +247,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        status = args.fn(args)
+        sys.stdout.flush()  # a closed pipe surfaces here, not at shutdown
+        return status
+    except BrokenPipeError:
+        # the reader closed stdout: as in the SIGPIPE note of the signal
+        # docs, point it at devnull so the exit flush stays quiet, and exit 1
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except _GENUS_ERRORS as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

@@ -11,10 +11,9 @@ import json
 from collections import deque
 from dataclasses import dataclass
 
+from .bounds import surface_parameters
 from .errors import DegeneracyViolation, InvalidInner, InvariantViolation, PreconditionViolated
-from .graphs import OrientedGraph, VertexOrdering, bits
-
-_STRIPPED_BACK_DEGREE = 6
+from .graphs import OrientedGraph, VertexOrdering, back_degrees, bits, degeneracy_ordering
 
 
 @dataclass
@@ -101,6 +100,16 @@ def greedy_two_dipath(g: OrientedGraph, ordering: VertexOrdering) -> DipathColou
     return DipathColouring(colours=colours, palette_size=palette)
 
 
+def _strip_arcs(g: OrientedGraph, strip) -> OrientedGraph:
+    """g without the arcs whose ends both lie in ``strip``."""
+    in_strip = 0
+    for v in strip:
+        in_strip |= 1 << v
+    return OrientedGraph._from_masks(
+        [g.out_mask(u) & ~in_strip if in_strip >> u & 1 else g.out_mask(u) for u in range(g.n)]
+    )
+
+
 def stratified_two_dipath(g: OrientedGraph, strip_set: list[int], inner: DipathColouring) -> DipathColouring:
     """Combine a colouring of g minus the strip set's internal arcs.
 
@@ -112,13 +121,7 @@ def stratified_two_dipath(g: OrientedGraph, strip_set: list[int], inner: DipathC
     strip = sorted(set(strip_set))
     if any(not 0 <= v < g.n for v in strip):
         raise ValueError("strip set outside vertex range")
-    in_strip = 0
-    for v in strip:
-        in_strip |= 1 << v
-    stripped = OrientedGraph._from_masks(
-        [g.out_mask(u) & ~in_strip if in_strip >> u & 1 else g.out_mask(u) for u in range(g.n)]
-    )
-    if not is_valid_two_dipath(stripped, inner.colours):
+    if not is_valid_two_dipath(_strip_arcs(g, strip), inner.colours):
         raise InvalidInner("inner colouring is not a valid 2-dipath colouring of the stripped graph")
     if inner.colours and max(inner.colours.values()) > inner.palette_size:
         raise InvalidInner("inner colouring uses colours above its own palette")
@@ -141,39 +144,28 @@ def surface_two_dipath(
     """
     if genus < 2:
         raise PreconditionViolated("surface colouring needs genus >= 2")
-    delta_cap = 12 * genus - 12
-    if g.max_degree() > delta_cap:
+    params = surface_parameters(genus)
+    if g.max_degree() > params.core_degree_limit:
         raise PreconditionViolated(
-            f"max degree {g.max_degree()} exceeds 12*genus-12 = {delta_cap}"
+            f"max degree {g.max_degree()} exceeds 12*genus-12 = {params.core_degree_limit}"
         )
     if ordering is None:
-        from .graphs import degeneracy_ordering
-
         ordering = degeneracy_ordering(g)
-    strip = list(ordering.order[: min(6 * genus - 1, g.n)])
+    strip = list(ordering.order[: params.strip_size])
     if len(strip) == g.n:
         colours = {v: i + 1 for i, v in enumerate(sorted(strip))}
         return DipathColouring(colours=colours, palette_size=g.n)
 
-    in_strip = 0
-    for v in strip:
-        in_strip |= 1 << v
-    stripped = OrientedGraph._from_masks(
-        [g.out_mask(u) & ~in_strip if in_strip >> u & 1 else g.out_mask(u) for u in range(g.n)]
-    )
-    seen = 0
-    max_back = 0
-    for v in ordering.order:
-        back = (stripped.adj_mask(v) & seen).bit_count()
-        if back > _STRIPPED_BACK_DEGREE:
+    stripped = _strip_arcs(g, strip)
+    backs = back_degrees(stripped, ordering.order)
+    for v, back in zip(ordering.order, backs):
+        if back > params.back_degree_limit:
             raise DegeneracyViolation(
                 f"stripped graph has back-degree {back} at vertex {v}; "
                 f"inconsistent with Euler genus <= {genus}"
             )
-        max_back = max(max_back, back)
-        seen |= 1 << v
-    inner = greedy_two_dipath(stripped, VertexOrdering(ordering.order, max_back))
+    inner = greedy_two_dipath(stripped, VertexOrdering(ordering.order, max(backs)))
     result = stratified_two_dipath(g, strip, inner)
-    if result.palette_size > 138 * genus - 162:
+    if result.palette_size > params.free_classes:
         raise InvariantViolation(f"surface palette {result.palette_size} exceeds 138g-162")
     return result

@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .errors import InvariantViolation, NonAdjacent, ParseError
+from .errors import InvariantViolation, NonAdjacent, ParseError, TooLarge
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -287,13 +287,22 @@ def back_degrees(g, order: Iterable[int]) -> list[int]:
 
 # -- file formats -----------------------------------------------------------
 
+# checked before allocating: ~100x the largest benchmarked graph, 16 MB of masks
+_MAX_FILE_VERTICES = 1_000_000
+
+
+def _check_file_order(n: int) -> None:
+    if n > _MAX_FILE_VERTICES:
+        raise TooLarge(f"graph file declares {n} vertices; the limit is {_MAX_FILE_VERTICES}")
+
 
 def parse_edge_list(text: str) -> OrientedGraph:
     """Parse the plain edge-list format: header ``n m`` then m lines ``u v``.
 
     ``#`` starts a comment anywhere on a line; blank lines are skipped.
-    Raises ParseError (with line number) for malformed text and
-    InvariantViolation for loops, duplicates, or anti-parallel pairs.
+    Raises ParseError (with line number) for malformed text, TooLarge for a
+    header above a million vertices, and InvariantViolation for loops,
+    duplicates, or anti-parallel pairs.
     """
     header: tuple[int, int] | None = None
     arcs: list[tuple[int, int]] = []
@@ -311,6 +320,7 @@ def parse_edge_list(text: str) -> OrientedGraph:
         if header is None:
             if a < 0 or b < 0:
                 raise ParseError("header counts must be non-negative", lineno)
+            _check_file_order(a)
             header = (a, b)
         else:
             arcs.append((a, b))
@@ -337,6 +347,7 @@ def graph_from_json(text: str) -> OrientedGraph:
     try:
         obj = json.loads(text)
         n = obj["n"]
+        _check_file_order(n)
         arcs = [(int(u), int(v)) for u, v in obj["arcs"]]
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad graph JSON: {exc}", 1) from None

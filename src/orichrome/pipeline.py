@@ -18,12 +18,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
+from .bounds import surface_parameters
 from .dipath import DipathColouring, surface_two_dipath
 from .errors import (
     CapacityExceeded,
     ConstraintConflict,
     DegeneracyViolation,
-    DomainError,
     GenusAssumptionViolated,
     InvariantViolation,
     NotReduced,
@@ -33,57 +33,17 @@ from .rng import derive_seed
 from .targets import LazyTarget
 
 
-@dataclass(frozen=True)
-class SurfaceParameters:
-    """Every degree threshold the genus-g machinery uses, in one place."""
-
-    genus: int
-    free_classes: int
-    reserved_capacity: int
-    total_classes: int
-    core_degree_limit: int
-    back_degree_limit: int
-    removable_degree: int
-    low_edge_degrees: tuple[int, int]
-    sturdy_degree: int
-    fullness_arity: int
-
-
-def surface_parameters(genus: int) -> SurfaceParameters:
-    if genus < 2:
-        raise DomainError("surface machinery needs genus >= 2")
-    return SurfaceParameters(
-        genus=genus,
-        free_classes=138 * genus - 162,
-        reserved_capacity=6 * genus,
-        total_classes=144 * genus - 162,
-        core_degree_limit=12 * genus - 12,
-        back_degree_limit=6,
-        removable_degree=3,
-        low_edge_degrees=(4, 5),
-        sturdy_degree=12,
-        fullness_arity=10,
-    )
-
-
 class _WorkGraph:
     """Mutable oriented graph over a fixed label space, bitmask-backed."""
 
-    __slots__ = ("n", "out", "inn", "alive")
-
-    def __init__(self, n: int):
-        self.n = n
-        self.out = [0] * n
-        self.inn = [0] * n
-        self.alive = 0
+    __slots__ = ("out", "inn", "alive")
 
     @classmethod
     def from_graph(cls, g: OrientedGraph) -> "_WorkGraph":
-        wk = cls(g.n)
-        wk.alive = (1 << g.n) - 1 if g.n else 0
-        for v in range(g.n):
-            wk.out[v] = g.out_mask(v)
-            wk.inn[v] = g.in_mask(v)
+        wk = cls()
+        wk.out = [g.out_mask(v) for v in range(g.n)]
+        wk.inn = [g.in_mask(v) for v in range(g.n)]
+        wk.alive = (1 << g.n) - 1
         return wk
 
     def adj(self, v: int) -> int:
@@ -111,21 +71,14 @@ class _WorkGraph:
         self.inn[v] &= ~(1 << u)
 
     def remove_vertex(self, v: int) -> None:
+        if not self.alive >> v & 1:
+            raise InvariantViolation(f"vertex {v} not present")
         for u in bits(self.adj(v)):
             self.out[u] &= ~(1 << v)
             self.inn[u] &= ~(1 << v)
         self.out[v] = 0
         self.inn[v] = 0
         self.alive &= ~(1 << v)
-
-    def vertex_count(self) -> int:
-        return self.alive.bit_count()
-
-    def arc_count(self) -> int:
-        return sum(self.out[v].bit_count() for v in bits(self.alive))
-
-    def arc_list(self) -> list[tuple[int, int]]:
-        return [(u, v) for u in bits(self.alive) for v in bits(self.out[u])]
 
     def incident(self, v: int) -> tuple[tuple[int, int], ...]:
         """Arcs at v as (tail, head), by ascending neighbour."""
@@ -154,9 +107,12 @@ class ReductionStep:
 
 @dataclass
 class ReductionResult:
+    """Relabelled core and steps; ``work`` is the final work graph, which replay extends."""
+
     core: OrientedGraph
     core_vertices: tuple[int, ...]
     steps: list[ReductionStep]
+    work: _WorkGraph
 
 
 def _find_removable_vertex(wk: _WorkGraph) -> int | None:
@@ -182,11 +138,11 @@ def reduce_graph(g: OrientedGraph) -> ReductionResult:
     a clique with new arcs oriented low to high); when none is left, one
     low-degree edge (endpoint of degree 4 or 5 whose other end has degree
     < 12) is removed and vertex peeling restarts.  Each step strictly
-    decreases (vertex count, arc count) lexicographically.
+    decreases (vertex count, arc count) lexicographically: removing an absent
+    vertex or pair raises InvariantViolation.
     """
     wk = _WorkGraph.from_graph(g)
     steps: list[ReductionStep] = []
-    metric = (wk.vertex_count(), wk.arc_count())
     while True:
         v = _find_removable_vertex(wk)
         if v is not None:
@@ -222,29 +178,23 @@ def reduce_graph(g: OrientedGraph) -> ReductionResult:
                     degrees=degrees,
                 )
             )
-        new_metric = (wk.vertex_count(), wk.arc_count())
-        if new_metric >= metric:
-            raise InvariantViolation(f"reduction step left (vertices, arcs) at {new_metric}")
-        metric = new_metric
 
     core_vertices = tuple(bits(wk.alive))
     index = {v: i for i, v in enumerate(core_vertices)}
-    arcs = [(index[a], index[b]) for a, b in wk.arc_list()]
+    arcs = [(index[a], index[b]) for a in core_vertices for b in bits(wk.out[a])]
     core = OrientedGraph(len(core_vertices), arcs)
-    return ReductionResult(core=core, core_vertices=core_vertices, steps=steps)
+    return ReductionResult(core=core, core_vertices=core_vertices, steps=steps, work=wk)
 
 
 def _check_reduced(core: OrientedGraph) -> None:
-    for v in range(core.n):
-        d = core.degree(v)
-        if d <= 3:
-            raise NotReduced(f"vertex {v} has degree {d} <= 3")
-        if d in (4, 5):
-            for u in core.neighbours(v):
-                if core.degree(u) < 12:
-                    raise NotReduced(
-                        f"degree-{d} vertex {v} has a degree-{core.degree(u)} neighbour {u}"
-                    )
+    """Raise NotReduced when a reduction rule still applies to ``core``."""
+    wk = _WorkGraph.from_graph(core)
+    v = _find_removable_vertex(wk)
+    if v is not None:
+        raise NotReduced(f"vertex {v} of degree {wk.degree(v)} is removable")
+    pair = _find_removable_edge(wk)
+    if pair is not None:
+        raise NotReduced(f"edge {pair} at a degree-{wk.degree(pair[0])} vertex is removable")
 
 
 class ChargeLedger:
@@ -462,7 +412,7 @@ def colour_surface_graph(
         )
 
     reduction = reduce_graph(g)
-    core, steps = reduction.core, reduction.steps
+    core, steps, wk = reduction.core, reduction.steps, reduction.work
     orig = reduction.core_vertices
 
     ledger = None
@@ -505,13 +455,7 @@ def colour_surface_graph(
             hom.mapping[orig[c]] = x
             core_classes[orig[c]] = target.class_of(x)
 
-    # replay the peeling in reverse on a work graph seeded with the core
-    wk = _WorkGraph(g.n)
-    for v in orig:
-        wk.add_vertex(v)
-    for a, b in core.arcs():
-        wk.add_arc(orig[a], orig[b])
-
+    # replay the peeling in reverse on the reducer's final work graph
     replay_classes: dict[int, int] = {}
     debug_checks = 0
     for step in reversed(steps):

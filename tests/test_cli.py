@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import orichrome
 from orichrome import (
     OrientedGraph,
     cyclic_k44_target,
@@ -209,6 +214,16 @@ def test_colour_empty_graph(capsys, tmp_path):
     assert data["colours_used"] == 0
 
 
+def test_colour_huge_header_refused(capsys, tmp_path):
+    # two billion vertices would need about 16 GB of masks
+    f = tmp_path / "huge.og"
+    f.write_text("2000000000 0\n")
+    code, out, err = run(capsys, "colour", str(f), "--g", "2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: TooLarge")
+
+
 # -- bounds ------------------------------------------------------------------
 
 
@@ -262,3 +277,30 @@ def test_gen_transitive(capsys):
     code, out, _ = run(capsys, "gen", "transitive-tournament", "--n", "3")
     assert code == 0
     assert out == "3 3\n0 1\n0 2\n1 2\n"
+
+
+# -- closed stdout -------------------------------------------------------------
+
+
+def test_selftest_reader_closes_stdout(tmp_path):
+    # unbuffered, so the first line arrives while the later criteria still run
+    env = dict(
+        os.environ,
+        PYTHONPATH=str(Path(orichrome.__file__).parents[1]),
+        PYTHONUNBUFFERED="1",
+    )
+    err = tmp_path / "stderr.txt"
+    with err.open("wb") as err_file:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "orichrome", "selftest", "--seed", "0"],
+            stdout=subprocess.PIPE,
+            stderr=err_file,
+            env=env,
+        )
+        try:
+            assert proc.stdout.readline().startswith(b"criterion 1 ")
+            proc.stdout.close()
+            assert proc.wait(timeout=120) == 1
+        finally:
+            proc.kill()
+    assert err.read_bytes() == b""

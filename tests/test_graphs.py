@@ -17,7 +17,7 @@ from orichrome import (
     random_orientation,
     serialize_edge_list,
 )
-from orichrome.errors import InvariantViolation, NonAdjacent, ParseError
+from orichrome.errors import InvariantViolation, NonAdjacent, ParseError, TooLarge
 
 seeds = st.integers(min_value=0, max_value=2**62)
 sizes = st.integers(min_value=1, max_value=12)
@@ -201,6 +201,17 @@ def test_parse_bad_token():
 def test_parse_wrong_arc_count():
     with pytest.raises(ParseError):
         parse_edge_list("3 5\n0 1\n1 2\n")
+
+
+@pytest.mark.parametrize(
+    "parse, text",
+    [(parse_edge_list, "1000001 0\n"), (graph_from_json, '{"arcs":[],"n":1000001}')],
+    ids=["edge-list", "json"],
+)
+def test_file_vertex_cap(parse, text):
+    # a declared vertex count above a million is refused before any allocation
+    with pytest.raises(TooLarge):
+        parse(text)
 
 
 def test_serialize_normalizes():

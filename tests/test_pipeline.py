@@ -29,9 +29,11 @@ from orichrome.errors import (
     CapacityExceeded,
     DomainError,
     GenusAssumptionViolated,
+    InvariantViolation,
     NotReduced,
     PreconditionViolated,
 )
+from orichrome import pipeline
 from orichrome.pipeline import Homomorphism
 
 seeds = st.integers(min_value=0, max_value=2**62)
@@ -82,7 +84,9 @@ def test_parameter_record():
     assert p.reserved_capacity == 12
     assert p.total_classes == 126
     assert p.core_degree_limit == 12
+    assert p.strip_size == 11
     assert p.back_degree_limit == 6
+    assert p.fullness_arity == 10
     with pytest.raises(DomainError):
         surface_parameters(1)
 
@@ -112,6 +116,31 @@ def test_icosahedron_cascades():
     assert any(s.kind == "remove-edge" for s in res.steps)
     if res.core.n:
         discharge_check(res.core, 2)  # would raise NotReduced on a bad core
+
+
+def _repeat_first(find):
+    """A finder that keeps returning its first answer, removed or not."""
+    first = []
+
+    def finder(wk):
+        if not first:
+            first.append(find(wk))
+        return first[0]
+
+    return finder
+
+
+@pytest.mark.parametrize("step", ["vertex", "edge"])
+def test_reduction_progress_check_fires(monkeypatch, step):
+    if step == "vertex":
+        g = OrientedGraph(4, [(0, 1), (1, 2), (2, 3)])
+        monkeypatch.setattr(pipeline, "_find_removable_vertex", _repeat_first(pipeline._find_removable_vertex))
+    else:
+        g = random_tournament(5, seed=0)
+        monkeypatch.setattr(pipeline, "_find_removable_vertex", lambda wk: None)
+        monkeypatch.setattr(pipeline, "_find_removable_edge", _repeat_first(pipeline._find_removable_edge))
+    with pytest.raises(InvariantViolation):
+        reduce_graph(g)
 
 
 def test_vertex_steps_record_low_degree():
