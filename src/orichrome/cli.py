@@ -131,14 +131,13 @@ def _cmd_full(args) -> int:
 
 def _cmd_colour(args) -> int:
     g = _read_graph(args.input)
-    seed = _resolve_seed(args.seed)
     target = None
     if args.target_file:
         with open(args.target_file, "r", encoding="utf-8") as fh:
             base = FullTarget.from_json(fh.read())
         free = args.free_classes if args.free_classes is not None else base.k - 1
         target = build_restricted(base, free)
-    res = colour_surface_graph(g, args.g, target=target, seed=seed, debug=args.debug)
+    res = colour_surface_graph(g, args.g, target=target, debug=args.debug)
     sys.stdout.write(res.to_json() + "\n")
     return 0
 
@@ -208,7 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target-file", default=None, help="use a stored target instead of lazy")
     p.add_argument("--free-classes", type=int, default=None)
     p.add_argument("--debug", action="store_true", help="check every replay step")
-    _add_seed(p)
     p.set_defaults(fn=_cmd_colour)
 
     p = sub.add_parser("bounds", help="CSV table of genus bounds")

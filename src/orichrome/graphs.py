@@ -347,8 +347,11 @@ def graph_from_json(text: str) -> OrientedGraph:
     try:
         obj = json.loads(text)
         n = obj["n"]
-        _check_file_order(n)
-        arcs = [(int(u), int(v)) for u, v in obj["arcs"]]
+        arcs = [(u, v) for u, v in obj["arcs"]]
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad graph JSON: {exc}", 1) from None
+    # exact ints only: bool is an int subclass, and a float endpoint would truncate
+    if type(n) is not int or any(type(x) is not int for arc in arcs for x in arc):
+        raise ParseError("bad graph JSON: n and every arc endpoint must be integers", 1)
+    _check_file_order(n)
     return OrientedGraph(n, arcs)

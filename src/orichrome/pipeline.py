@@ -29,7 +29,6 @@ from .errors import (
     NotReduced,
 )
 from .graphs import OrientedGraph, bits, degeneracy_ordering
-from .rng import derive_seed
 from .targets import LazyTarget
 
 
@@ -250,11 +249,9 @@ class Homomorphism:
         self.target = target
         self.mapping: dict[int, int] = dict(mapping or {})
 
-    def validate(self, arcs=None) -> bool:
+    def validate(self) -> bool:
         """Mapped arcs land on target arcs; pool images stay injective."""
-        if arcs is None:
-            arcs = self.source.arcs()
-        for u, v in arcs:
+        for u, v in self.source.arcs():
             a = self.mapping.get(u)
             b = self.mapping.get(v)
             if a is None or b is None:
@@ -366,7 +363,6 @@ class PipelineResult:
     psi_colours: dict[int, int] | None
     replay_classes: dict[int, int]
     ledger: ChargeLedger | None
-    max_degree_ok: bool
     debug_checks: int
 
     def to_json(self) -> str:
@@ -387,7 +383,6 @@ def colour_surface_graph(
     g: OrientedGraph,
     genus: int,
     target=None,
-    seed: int = 0,
     debug: bool = False,
 ) -> PipelineResult:
     """Colour a genus-<=genus oriented graph into a class-structured target.
@@ -405,18 +400,13 @@ def colour_surface_graph(
     """
     params = surface_parameters(genus)
     if target is None:
-        target = LazyTarget(
-            params.free_classes,
-            params.reserved_capacity,
-            seed=derive_seed(seed, 0xC010),
-        )
+        target = LazyTarget(params.free_classes, params.reserved_capacity)
 
     reduction = reduce_graph(g)
     core, steps, wk = reduction.core, reduction.steps, reduction.work
     orig = reduction.core_vertices
 
     ledger = None
-    max_degree_ok = True
     if core.n:
         ledger, max_degree_ok = discharge_check(core, genus)
         if not max_degree_ok:
@@ -512,6 +502,5 @@ def colour_surface_graph(
         psi_colours={orig[c]: col for c, col in psi.colours.items()} if psi else None,
         replay_classes=replay_classes,
         ledger=ledger,
-        max_degree_ok=max_degree_ok,
         debug_checks=debug_checks,
     )

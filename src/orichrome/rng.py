@@ -29,10 +29,6 @@ class SplitMix64:
     def coin(self) -> bool:
         return bool(self.next_u64() & 1)
 
-    def sign(self) -> int:
-        """Fair draw from {-1, +1}."""
-        return 1 if self.next_u64() & 1 else -1
-
     def randrange(self, n: int) -> int:
         """Uniform integer in [0, n), rejection-sampled to avoid modulo bias."""
         if n <= 0:

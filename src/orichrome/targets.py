@@ -225,19 +225,14 @@ def cyclic_k66_target() -> FullTarget:
 # -- verification -------------------------------------------------------------
 
 
-def _class_sign_masks(t: FullTarget, c: int) -> tuple[list[int], int, int]:
-    """For class c: per-outside-vertex mask of class members pointing at it."""
+def _points_at(t: FullTarget, c: int, u: int) -> int:
+    """Mask of the members of class c (bit i for the i-th) that point at u."""
     base = (c - 1) * t.N
-    full = (1 << t.N) - 1
-    outside = [v for v in range(t.vertex_count) if v // t.N != c - 1]
-    plus = []
-    for u in outside:
-        mask = 0
-        for i in range(t.N):
-            if t._out[base + i] >> u & 1:
-                mask |= 1 << i
-        plus.append(mask)
-    return plus, full, base
+    mask = 0
+    for i in range(t.N):
+        if t._out[base + i] >> u & 1:
+            mask |= 1 << i
+    return mask
 
 
 def verify_full(t: FullTarget, budget: int | None = None):
@@ -255,20 +250,14 @@ def verify_full(t: FullTarget, budget: int | None = None):
     if work > budget:
         raise BudgetExceeded(f"verification needs ~{work} checks, budget {budget}")
 
+    full = (1 << t.N) - 1
     for c in range(1, t.k + 1):
-        plus, full, base = _class_sign_masks(t, c)
         outside = [v for v in range(t.vertex_count) if v // t.N != c - 1]
-        if arity == 0:
-            continue
+        plus = [_points_at(t, c, u) for u in outside]
         # sign vectors are scanned with -1 before +1, matching the plain
-        # product((-1, 1), ...) reference order, so witnesses are canonical
-        if arity == 1:
-            for j, u in enumerate(outside):
-                if plus[j] == full:
-                    return FailureWitness(c, (u,), (-1,))
-                if plus[j] == 0:
-                    return FailureWitness(c, (u,), (1,))
-            continue
+        # product((-1, 1), ...) reference order, so witnesses are canonical;
+        # arity 2, where sampled and bundled targets are certified, is
+        # unrolled: the general loop below is an order of magnitude slower
         if arity == 2:
             for j1 in range(len(outside)):
                 p1 = plus[j1]
@@ -309,6 +298,25 @@ def failure_probability_bound(k: int, d: int, N: int) -> float:
     return float(k) * float(k * N) ** d * (1 << d) * tail
 
 
+def _orient_cross_pairs(k: int, N: int, bits) -> list[int]:
+    """Out-masks of a complete k-partite graph with N vertices per class.
+
+    Cross-class pairs u < v are taken in lexicographic order; each one is
+    oriented u -> v when the next value of the iterator ``bits`` is true and
+    v -> u otherwise.
+    """
+    n = k * N
+    out = [0] * n
+    for u in range(n):
+        for v in range(u + 1, n):
+            if u // N != v // N:
+                if next(bits):
+                    out[u] |= 1 << v
+                else:
+                    out[v] |= 1 << u
+    return out
+
+
 def sample_full(k: int, d: int, seed: int = 0, max_attempts: int = _SAMPLE_ATTEMPTS, budget: int | None = None) -> FullTarget:
     """Sample and certify a (k, d, N)-full target with N = ceil(8^d * ln k).
 
@@ -320,17 +328,9 @@ def sample_full(k: int, d: int, seed: int = 0, max_attempts: int = _SAMPLE_ATTEM
     if k < 5 or d < 2:
         raise DomainError("sampling bound proved for k >= 5, d >= 2")
     N = math.ceil(8**d * math.log(k))
-    n = k * N
     for attempt in range(max_attempts):
         rng = SplitMix64(derive_seed(seed, 0xF011, attempt))
-        out = [0] * n
-        for u in range(n):
-            for v in range(u + 1, n):
-                if u // N != v // N:
-                    if rng.coin():
-                        out[u] |= 1 << v
-                    else:
-                        out[v] |= 1 << u
+        out = _orient_cross_pairs(k, N, iter(rng.coin, None))
         t = FullTarget._from_out_masks(k, d, N, out, derive_seed(seed, 0xF011, attempt))
         if verify_full(t, budget=budget) is True:
             return t
@@ -349,23 +349,11 @@ def minimal_full_N(k: int, d: int, n_cap: int = 6, budget: int | None = None) ->
         raise DomainError("exhaustive search supports k <= 3, d <= 2, N <= 6")
     budget = _DEFAULT_MINIMAL_BUDGET if budget is None else budget
     for N in range(1, n_cap + 1):
-        cross = []
-        n = k * N
-        for u in range(n):
-            for v in range(u + 1, n):
-                if u // N != v // N:
-                    cross.append((u, v))
-        if 1 << len(cross) > budget:
-            raise BudgetExceeded(
-                f"N = {N} needs 2^{len(cross)} orientations, budget {budget}"
-            )
-        for code in range(1 << len(cross)):
-            out = [0] * n
-            for i, (u, v) in enumerate(cross):
-                if code >> i & 1:
-                    out[u] |= 1 << v
-                else:
-                    out[v] |= 1 << u
+        pairs = k * (k - 1) // 2 * N * N
+        if 1 << pairs > budget:
+            raise BudgetExceeded(f"N = {N} needs 2^{pairs} orientations, budget {budget}")
+        for code in range(1 << pairs):
+            out = _orient_cross_pairs(k, N, (code >> i & 1 for i in range(pairs)))
             t = FullTarget._from_out_masks(k, d, N, out, None)
             if verify_full(t) is True:
                 return N
@@ -381,6 +369,16 @@ def _check_pool_request(in_use: bool, count: int, capacity: int) -> None:
         raise PreconditionViolated("reserved pool already carries arcs")
     if count > capacity:
         raise CapacityExceeded(f"{count} vertices exceed the reserved pool capacity {capacity}")
+
+
+def _check_pool_arc(target, a: int, b: int) -> None:
+    """The install_pool_arc gates every target shares, in their fixed order."""
+    if target.class_of(a) != 0 or target.class_of(b) != 0:
+        raise InvalidClass("pool arcs may only join pool vertices")
+    if a == b:
+        raise InvariantViolation("loop in pool")
+    if target.orientation(a, b) is not None:
+        raise InvariantViolation(f"pool pair ({a},{b}) already oriented")
 
 
 class RestrictedTarget:
@@ -433,12 +431,7 @@ class RestrictedTarget:
         return self.base.orientation(a, b)
 
     def install_pool_arc(self, a: int, b: int) -> None:
-        if self.class_of(a) != 0 or self.class_of(b) != 0:
-            raise InvalidClass("pool arcs may only join pool vertices")
-        if a == b:
-            raise InvariantViolation("loop in pool")
-        if (a, b) in self._extra_set or (b, a) in self._extra_set:
-            raise InvariantViolation(f"pool pair ({a},{b}) already oriented")
+        _check_pool_arc(self, a, b)
         self.extra_arcs.append((a, b))
         self._extra_set.add((a, b))
 
@@ -454,7 +447,6 @@ class RestrictedTarget:
         arity = self.fullness_arity
         if arity is not None and len(constraints) > arity:
             raise ArityExceeded(f"{len(constraints)} constraints exceed certified arity {arity}")
-        base = (class_index - 1) * self.base.N
         full = (1 << self.base.N) - 1
         cache = self._plus_cache.setdefault(class_index, {})
         mask = full
@@ -463,17 +455,13 @@ class RestrictedTarget:
                 raise ClassCollision(f"constraint vertex {u} lies in class {class_index}")
             plus = cache.get(u)
             if plus is None:
-                plus = 0
-                for i in range(self.base.N):
-                    if self.base.has_arc(base + i, u):
-                        plus |= 1 << i
-                cache[u] = plus
+                plus = cache[u] = _points_at(self.base, class_index, u)
             mask &= plus if sign == 1 else full ^ plus
             if not mask:
                 raise RealizationError(
                     f"class {class_index} realizes no vertex for {constraints}"
                 )
-        return base + (mask & -mask).bit_length() - 1
+        return (class_index - 1) * self.base.N + (mask & -mask).bit_length() - 1
 
     realizer = query  # older name, still called and traced by bench/
 
@@ -490,20 +478,18 @@ class LazyTarget:
     """On-demand realization of a full-style target of unbounded class size.
 
     Vertices are minted as queries arrive; a pair's orientation is fixed the
-    first time something depends on it and memoized forever, so replaying the
-    same query sequence with the same seed reproduces every answer.  Queries
-    prefer the earliest compatible minted vertex, minting fresh only when no
-    existing class vertex can satisfy the constraints.
+    first time a query constrains it and memoized forever, so replaying the
+    same query sequence reproduces every answer.  Queries prefer the earliest
+    compatible minted vertex, minting fresh only when no existing class
+    vertex can satisfy the constraints.
     """
 
-    def __init__(self, free_classes: int, pool_capacity: int, seed: int = 0):
+    def __init__(self, free_classes: int, pool_capacity: int):
         if free_classes < 1 or pool_capacity < 0:
             raise DomainError("need free_classes >= 1 and pool_capacity >= 0")
         self.free_classes = free_classes
         self.pool_capacity = pool_capacity
-        self.seed = seed
         self.fullness_arity: int | None = None  # unbounded
-        self._rng = SplitMix64(derive_seed(seed, 0x1A5E))
         self._class_of: list[int] = []
         self._minted: dict[int, list[int]] = {}
         self._orient: dict[tuple[int, int], int] = {}
@@ -546,37 +532,26 @@ class LazyTarget:
         key = (a, b) if a < b else (b, a)
         self._orient[key] = sign if a < b else -sign
 
-    def orientation(self, a: int, b: int, decide: bool = False) -> int | None:
-        """Orientation between two minted vertices; optionally coin-decides.
+    def orientation(self, a: int, b: int) -> int | None:
+        """Orientation between two minted vertices; None while not yet fixed.
 
-        Same-class pairs (including undecided pool pairs) carry no arc and
-        always return None; pool pairs become arcs only via install_pool_arc.
+        Pairs inside a free class never carry an arc; pool pairs become arcs
+        only via install_pool_arc.
         """
-        if self._class_of[a] == self._class_of[b]:
-            if self._class_of[a] == 0:
-                return self._get(a, b)
+        if self._class_of[a] == self._class_of[b] != 0:
             return None
-        s = self._get(a, b)
-        if s is None and decide:
-            s = self._rng.sign()
-            self._set(a, b, s)
-        return s
+        return self._get(a, b)
 
     def install_pool_arc(self, a: int, b: int) -> None:
-        if self._class_of[a] != 0 or self._class_of[b] != 0:
-            raise InvalidClass("pool arcs may only join pool vertices")
-        if a == b:
-            raise InvariantViolation("loop in pool")
-        if self._get(a, b) is not None:
-            raise InvariantViolation(f"pool pair ({a},{b}) already oriented")
+        _check_pool_arc(self, a, b)
         self._set(a, b, 1)
 
     def query(self, class_index: int, constraints: dict[int, int]) -> int:
         """A class vertex oriented per ``constraints`` (vertex -> sign toward it).
 
         Reuses the earliest minted vertex whose already-fixed orientations all
-        match, fixing its undecided constrained pairs; mints a fresh vertex
-        otherwise, which always succeeds.
+        match, fixing its constrained pairs that are still open; mints a fresh
+        vertex otherwise, which always succeeds.
         """
         if not 1 <= class_index <= self.free_classes:
             raise InvalidClass(f"class {class_index} outside 1..{self.free_classes}")
@@ -600,7 +575,7 @@ class LazyTarget:
             self._set(x, u, sign)
         return x
 
-    def decided_arcs(self) -> list[tuple[int, int]]:
+    def fixed_arcs(self) -> list[tuple[int, int]]:
         """All fixed orientations as arcs (tail, head), sorted."""
         arcs = []
         for (a, b), s in self._orient.items():
@@ -609,4 +584,4 @@ class LazyTarget:
 
     def to_oriented_graph(self) -> OrientedGraph:
         """The currently-realized finite graph (minted vertices, fixed arcs)."""
-        return OrientedGraph(self.vertex_count, self.decided_arcs())
+        return OrientedGraph(self.vertex_count, self.fixed_arcs())

@@ -214,6 +214,15 @@ def test_colour_empty_graph(capsys, tmp_path):
     assert data["colours_used"] == 0
 
 
+def test_colour_non_integer_json_refused(capsys, tmp_path):
+    f = tmp_path / "float.json"
+    f.write_text('{"arcs":[],"n":3.5}')
+    code, out, err = run(capsys, "colour", str(f), "--g", "2")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ParseError")
+
+
 def test_colour_huge_header_refused(capsys, tmp_path):
     # two billion vertices would need about 16 GB of masks
     f = tmp_path / "huge.og"

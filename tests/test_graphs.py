@@ -214,6 +214,22 @@ def test_file_vertex_cap(parse, text):
         parse(text)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"arcs":[],"n":3.5}',
+        '{"arcs":[],"n":true}',
+        '{"arcs":[],"n":"3"}',
+        '{"arcs":[[0.9,2],[true,3]],"n":4}',
+        '{"arcs":[["0",1]],"n":2}',
+    ],
+    ids=["float-n", "bool-n", "string-n", "float-and-bool-endpoints", "string-endpoint"],
+)
+def test_json_rejects_non_integers(text):
+    with pytest.raises(ParseError):
+        graph_from_json(text)
+
+
 def test_serialize_normalizes():
     text = "3 2\n1 2\n0 1\n"
     assert serialize_edge_list(parse_edge_list(text)) == "3 2\n0 1\n1 2\n"

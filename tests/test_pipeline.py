@@ -228,7 +228,7 @@ def test_not_reduced_low_degree_edge():
 
 
 def test_embed_single_vertex():
-    t = LazyTarget(4, 3, seed=0)
+    t = LazyTarget(4, 3)
     hom = embed_small(OrientedGraph(1), t)
     assert hom.validate()
     assert t.minted(0) == [hom.mapping[0]]
@@ -236,10 +236,10 @@ def test_embed_single_vertex():
 
 def test_embed_tournament_installs_all_arcs():
     g = random_tournament(5, seed=8)
-    t = LazyTarget(4, 6, seed=0)
+    t = LazyTarget(4, 6)
     hom = embed_small(g, t)
     assert hom.validate()
-    assert len(t.decided_arcs()) == 10
+    assert len(t.fixed_arcs()) == 10
 
 
 def test_embed_restricted_pool():
@@ -255,7 +255,7 @@ def test_embed_restricted_pool():
 
 # both pools hold four vertices
 POOLS = {
-    "lazy": lambda: LazyTarget(4, 4, seed=0),
+    "lazy": lambda: LazyTarget(4, 4),
     "restricted": lambda: build_restricted(cyclic_k44_target(1), 1),
 }
 
@@ -279,7 +279,7 @@ def test_embed_requires_fresh_pool(make_target):
 
 
 def test_extend_unconstrained():
-    t = LazyTarget(3, 1, seed=0)
+    t = LazyTarget(3, 1)
     g = OrientedGraph(2, [(0, 1)])
     hom = Homomorphism(g, t)
     hom = extend_vertex(hom, 0, 2)
@@ -290,7 +290,7 @@ def test_extend_matches_orientation_vector():
     # vertex 6 aims at pool images 0..2 and away from 3..5; the minted image
     # must reproduce that sign pattern exactly
     g = OrientedGraph(7, [(6, i) for i in range(3)] + [(i, 6) for i in range(3, 6)])
-    t = LazyTarget(10, 6, seed=3)
+    t = LazyTarget(10, 6)
     base = embed_small(OrientedGraph(6), t)
     hom = Homomorphism(g, t, base.mapping)
     hom = extend_vertex(hom, 6, 4)
@@ -380,8 +380,8 @@ def test_pipeline_colours_at_least_oracle():
 
 def test_pipeline_deterministic():
     g = toroidal_grid(4, 6, seed=3)
-    a = colour_surface_graph(g, 2, seed=5)
-    b = colour_surface_graph(g, 2, seed=5)
+    a = colour_surface_graph(g, 2)
+    b = colour_surface_graph(g, 2)
     assert a.to_json() == b.to_json()
     assert a.mapping == b.mapping
 
@@ -395,7 +395,7 @@ def test_pipeline_genus_gate():
 @given(seeds, st.integers(min_value=3, max_value=80), st.integers(min_value=2, max_value=5))
 def test_pipeline_random_triangulations(seed, n, genus):
     g = random_orientation(stacked_triangulation(n, seed), seed)
-    res = colour_surface_graph(g, genus, seed=seed, debug=True)
+    res = colour_surface_graph(g, genus, debug=True)
     assert res.valid
     params = surface_parameters(genus)
     assert all(1 <= c <= params.free_classes for c in res.replay_classes.values())
