@@ -29,7 +29,6 @@ from .dipath import (
 from .errors import OrichromeError
 from .generate import (
     all_oriented_graphs,
-    all_orientations,
     all_tournaments,
     directed_cycle,
     generate,
@@ -40,7 +39,6 @@ from .generate import (
     stacked_triangulation,
     toroidal_grid,
     toroidal_grid_graph,
-    tournament_count,
     transitive_tournament,
 )
 from .graphs import (
@@ -53,7 +51,6 @@ from .graphs import (
     graph_from_json,
     graph_to_json,
     is_oriented_clique,
-    orientation_vector,
     parse_edge_list,
     serialize_edge_list,
 )
@@ -61,7 +58,6 @@ from .oracles import (
     SolveResult,
     chromatic_number,
     exact_oriented_chromatic,
-    exact_oriented_chromatic_simple,
     exact_two_dipath,
     min_edge_oriented_clique,
     validate_homomorphism,
@@ -71,7 +67,6 @@ from .pipeline import (
     ReductionResult,
     colour_surface_graph,
     discharge_check,
-    embed_small,
     extend_vertex,
     reduce_graph,
 )

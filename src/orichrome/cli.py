@@ -1,10 +1,10 @@
 """Command-line front end.
 
 stdout carries machine-readable data only (canonical JSON or CSV); stderr
-carries diagnostics.  Exit codes: 0 success, 1 bad input or broken invariant
-(or the reader closed stdout early, which prints nothing), 2 resource cap or
-budget refused the work, 3 the asserted genus was detected to be impossible
-for the input graph.
+carries diagnostics.  Exit codes: 0 success, 1 bad input, a bad command line
+or a broken invariant (or the reader closed stdout early, which prints
+nothing), 2 resource cap or budget refused the work, 3 the asserted genus was
+detected to be impossible for the input graph.
 """
 
 from __future__ import annotations
@@ -169,12 +169,20 @@ def _cmd_selftest(args) -> int:
 # -- parser ----------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse exits 2 on a bad command line, the code for a refused budget
+    here; raise instead, so main reports it as bad input with exit 1."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
 def _add_seed(p) -> None:
     p.add_argument("--seed", type=int, default=None, help="RNG seed (fallback: ORICHROME_SEED)")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="orichrome",
         description="Oriented colouring toolkit: exact solvers, target samplers, surface pipeline.",
     )
@@ -243,7 +251,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except argparse.ArgumentError as exc:
+        print(f"error: usage: {exc}", file=sys.stderr)
+        return 1
     try:
         status = args.fn(args)
         sys.stdout.flush()  # a closed pipe surfaces here, not at shutdown

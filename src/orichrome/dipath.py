@@ -7,7 +7,6 @@ colours.  Colours are positive integers.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass
 
@@ -26,13 +25,6 @@ class DipathColouring:
 
     colours: dict[int, int]
     palette_size: int
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"palette": self.palette_size, "colours": {str(v): c for v, c in sorted(self.colours.items())}},
-            sort_keys=True,
-            separators=(",", ":"),
-        )
 
 
 def is_valid_two_dipath(g: OrientedGraph, colours: dict[int, int]) -> bool:

@@ -23,10 +23,6 @@ class InvariantViolation(OrichromeError):
     """A structure broke its own rules (loop, anti-parallel pair, duplicate)."""
 
 
-class NonAdjacent(OrichromeError):
-    """An orientation vector was requested over a non-neighbour."""
-
-
 class TooLarge(OrichromeError):
     """Requested enumeration exceeds the supported size."""
 
@@ -52,7 +48,7 @@ class ClassCollision(OrichromeError):
 
 
 class InvalidClass(OrichromeError):
-    """Class index outside the target's class range."""
+    """Class index, pool arc end or constraint vertex outside its range in a target."""
 
 
 class ConstraintConflict(OrichromeError):

@@ -1,8 +1,8 @@
 """Graph generators and exhaustive enumerators.
 
 Everything randomised takes an explicit seed and draws from SplitMix64, so
-generation is reproducible across platforms.  The enumerators (orientations,
-pair states, tournaments up to isomorphism) guard their combinatorial size
+generation is reproducible across platforms.  The enumerators (pair states,
+tournaments up to isomorphism) guard their combinatorial size
 with TooLarge rather than silently grinding.
 """
 
@@ -15,7 +15,6 @@ from .errors import InvariantViolation, TooLarge
 from .graphs import OrientedGraph, SimpleGraph, bits
 from .rng import SplitMix64, derive_seed
 
-_ORIENTATION_CAP = 20  # 2^20 orientations
 _PAIR_STATE_CAP = 5  # 3^C(5,2) oriented graphs
 _TOURNAMENT_CAP = 7
 
@@ -135,20 +134,6 @@ def random_oriented_graph(n: int, seed: int = 0, density: float = 0.5) -> Orient
 # -- exhaustive enumeration ---------------------------------------------------
 
 
-def all_orientations(g: SimpleGraph) -> Iterator[OrientedGraph]:
-    """All 2^m orientations of a simple graph; TooLarge when m exceeds the cap."""
-    edges = g.edges()
-    m = len(edges)
-    if m > _ORIENTATION_CAP:
-        raise TooLarge(f"{m} edges; orientation enumeration capped at {_ORIENTATION_CAP}")
-    for code in range(1 << m):
-        arcs = [
-            (u, v) if code >> i & 1 else (v, u)
-            for i, (u, v) in enumerate(edges)
-        ]
-        yield OrientedGraph(g.n, arcs)
-
-
 def all_oriented_graphs(n: int) -> Iterator[OrientedGraph]:
     """All 3^C(n,2) oriented graphs on n labelled vertices."""
     if n > _PAIR_STATE_CAP:
@@ -230,10 +215,6 @@ def all_tournaments(n: int) -> list[OrientedGraph]:
     return result
 
 
-def tournament_count(n: int) -> int:
-    return len(all_tournaments(n))
-
-
 # -- dispatcher ----------------------------------------------------------------
 
 
@@ -245,8 +226,6 @@ def generate(kind: str, seed: int = 0, **params) -> OrientedGraph:
         return transitive_tournament(params["n"])
     if kind == "directed-cycle":
         return directed_cycle(params["n"])
-    if kind == "random-orientation-of":
-        return random_orientation(params["graph"], seed)
     if kind == "toroidal-grid":
         return toroidal_grid(params["rows"], params["cols"], seed)
     if kind == "stacked-triangulation":

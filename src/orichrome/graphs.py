@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .errors import InvariantViolation, NonAdjacent, ParseError, TooLarge
+from .errors import InvariantViolation, ParseError, TooLarge
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -79,9 +79,6 @@ class OrientedGraph:
 
     def out_neighbours(self, u: int) -> list[int]:
         return list(bits(self._out[u]))
-
-    def in_neighbours(self, u: int) -> list[int]:
-        return list(bits(self._in[u]))
 
     def neighbours(self, u: int) -> list[int]:
         return list(bits(self.adj_mask(u)))
@@ -190,27 +187,6 @@ class SimpleGraph:
 
     def __repr__(self) -> str:
         return f"SimpleGraph(n={self.n}, m={self.edge_count})"
-
-
-# -- orientation vectors --------------------------------------------------
-
-
-def orientation_vector(g: OrientedGraph, ordered_set: Iterable[int], v: int) -> tuple[int, ...]:
-    """Signs of the arcs between ``v`` and each vertex of ``ordered_set``.
-
-    Entry i is +1 when the arc runs from ``v`` to the i-th vertex, -1 when it
-    runs the other way.  Raises NonAdjacent when some listed vertex shares no
-    arc with ``v`` (including v itself).
-    """
-    out = []
-    for u in ordered_set:
-        if g.has_arc(v, u):
-            out.append(1)
-        elif g.has_arc(u, v):
-            out.append(-1)
-        else:
-            raise NonAdjacent(f"vertices {v} and {u} share no arc")
-    return tuple(out)
 
 
 # -- directed square and oriented cliques ----------------------------------
@@ -348,7 +324,8 @@ def graph_from_json(text: str) -> OrientedGraph:
         obj = json.loads(text)
         n = obj["n"]
         arcs = [(u, v) for u, v in obj["arcs"]]
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    # RecursionError: json.loads on a document nested past the stack depth
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise ParseError(f"bad graph JSON: {exc}", 1) from None
     # exact ints only: bool is an int subclass, and a float endpoint would truncate
     if type(n) is not int or any(type(x) is not int for arc in arcs for x in arc):

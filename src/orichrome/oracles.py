@@ -19,7 +19,6 @@ from .graphs import OrientedGraph, SimpleGraph, bits, directed_square, is_orient
 from .rng import derive_seed
 
 _CHI_O_CAP = 7
-_SIMPLE_EDGE_CAP = 15
 _TWO_DIPATH_CAP = 20
 _MIN_EDGE_EXHAUSTIVE_CAP = 6
 _MIN_EDGE_WITNESS_CAP = 9
@@ -105,30 +104,6 @@ def exact_oriented_chromatic(g: OrientedGraph, k_max: int = _CHI_O_CAP) -> Solve
             if phi is not None:
                 return SolveResult(value=k, witness=phi, nodes_explored=total_nodes, target=t)
     return None
-
-
-def exact_oriented_chromatic_simple(g: SimpleGraph, k_max: int = _CHI_O_CAP) -> SolveResult:
-    """Max oriented chromatic number over all orientations of a simple graph."""
-    m = g.edge_count
-    if m > _SIMPLE_EDGE_CAP:
-        raise CapExceeded(f"orientation sweep capped at {_SIMPLE_EDGE_CAP} edges")
-    edges = g.edges()
-    best = 0
-    best_inner: SolveResult | None = None
-    worst: OrientedGraph | None = None
-    nodes = 0
-    for code in range(1 << m):
-        arcs = [(u, v) if code >> i & 1 else (v, u) for i, (u, v) in enumerate(edges)]
-        og = OrientedGraph(g.n, arcs)
-        res = exact_oriented_chromatic(og, k_max=min(_CHI_O_CAP, max(g.n, 1)))
-        if res is None:
-            raise CapExceeded("orientation needs more colours than the solver cap")
-        nodes += res.nodes_explored
-        if res.value > best:
-            best = res.value
-            best_inner = res
-            worst = og
-    return SolveResult(value=best, witness=(worst, best_inner), nodes_explored=nodes)
 
 
 # -- chromatic number of a simple graph (for the directed square) -------------

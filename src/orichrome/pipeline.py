@@ -272,16 +272,6 @@ def _embed_pool(hom: Homomorphism, vertices, arcs) -> None:
         hom.target.install_pool_arc(hom.mapping[a], hom.mapping[b])
 
 
-def embed_small(g: OrientedGraph, target) -> Homomorphism:
-    """Injective map of a whole small graph into the reserved pool.
-
-    Installs one pool arc per source arc, so it needs the pool pristine.
-    """
-    hom = Homomorphism(g, target)
-    _embed_pool(hom, range(g.n), g.arcs())
-    return hom
-
-
 def _merge_constraint(constraints: dict[int, int], image: int, sign: int) -> None:
     known = constraints.get(image)
     if known is None:

@@ -39,9 +39,6 @@ class SplitMix64:
             if r < limit:
                 return r % n
 
-    def choice(self, seq):
-        return seq[self.randrange(len(seq))]
-
     def shuffle(self, items: list) -> None:
         for i in range(len(items) - 1, 0, -1):
             j = self.randrange(i + 1)

@@ -120,9 +120,6 @@ class FullTarget:
             return 1
         return -1
 
-    def has_arc(self, a: int, b: int) -> bool:
-        return bool(self._out[a] >> b & 1)
-
     def to_oriented_graph(self) -> OrientedGraph:
         return OrientedGraph._from_masks(list(self._out))
 
@@ -157,10 +154,14 @@ class FullTarget:
             obj = json.loads(text)
             k, d, N = obj["k"], obj["d"], obj["N"]
             raw = base64.b64decode(obj["arcs"], validate=True)
-        except (ValueError, KeyError, TypeError) as exc:
+        # RecursionError: json.loads on a document nested past the stack depth
+        except (ValueError, KeyError, TypeError, RecursionError) as exc:
             raise ParseError(f"bad target JSON: {exc!r}", 1) from None
         if not all(type(x) is int and x >= 1 for x in (k, d, N)):
             raise ParseError(f"k, d, N must be positive integers, got {k!r}, {d!r}, {N!r}", 1)
+        cert = obj.get("certificate", {})
+        if not isinstance(cert, dict):
+            raise ParseError(f"certificate must be an object, got {cert!r}", 1)
         n = k * N
         need = (n * (n - 1) // 2 + 7) // 8
         if len(raw) < need:
@@ -176,7 +177,6 @@ class FullTarget:
                         out[v] |= 1 << u
                 idx += 1
         t = cls._from_out_masks(k, d, N, out, obj.get("seed"))
-        cert = obj.get("certificate", {})
         t.certified = bool(cert.get("verified")) and cert.get("verifier_version") == VERIFIER_VERSION
         return t
 
@@ -371,6 +371,12 @@ def _check_pool_request(in_use: bool, count: int, capacity: int) -> None:
         raise CapacityExceeded(f"{count} vertices exceed the reserved pool capacity {capacity}")
 
 
+def _check_constraint_vertex(u: int, vertex_count: int) -> None:
+    """The query gate every target shares: constraints name existing vertices."""
+    if not 0 <= u < vertex_count:
+        raise InvalidClass(f"constraint vertex {u} outside 0..{vertex_count - 1}")
+
+
 def _check_pool_arc(target, a: int, b: int) -> None:
     """The install_pool_arc gates every target shares, in their fixed order."""
     if target.class_of(a) != 0 or target.class_of(b) != 0:
@@ -395,8 +401,7 @@ class RestrictedTarget:
         self.base = base
         self.free_classes = free_classes
         self.pool: tuple[int, ...] = tuple(range(free_classes * base.N, base.vertex_count))
-        self.extra_arcs: list[tuple[int, int]] = []
-        self._extra_set: set[tuple[int, int]] = set()
+        self.extra_arcs: set[tuple[int, int]] = set()
         self._plus_cache: dict[int, dict[int, int]] = {}
 
     @property
@@ -411,19 +416,12 @@ class RestrictedTarget:
         c = self.base.class_of(v)
         return c if c <= self.free_classes else 0
 
-    def class_members(self, c: int):
-        if c == 0:
-            return self.pool
-        if not 1 <= c <= self.free_classes:
-            raise InvalidClass(f"class {c} outside 0..{self.free_classes}")
-        return self.base.class_members(c)
-
     def orientation(self, a: int, b: int) -> int | None:
         ca, cb = self.class_of(a), self.class_of(b)
         if ca == 0 and cb == 0:
-            if (a, b) in self._extra_set:
+            if (a, b) in self.extra_arcs:
                 return 1
-            if (b, a) in self._extra_set:
+            if (b, a) in self.extra_arcs:
                 return -1
             return None
         if ca == cb:
@@ -432,8 +430,7 @@ class RestrictedTarget:
 
     def install_pool_arc(self, a: int, b: int) -> None:
         _check_pool_arc(self, a, b)
-        self.extra_arcs.append((a, b))
-        self._extra_set.add((a, b))
+        self.extra_arcs.add((a, b))
 
     def reserve_pool(self, count: int) -> list[int]:
         """The first ``count`` pool vertices; the pool must carry no arcs yet."""
@@ -451,6 +448,7 @@ class RestrictedTarget:
         cache = self._plus_cache.setdefault(class_index, {})
         mask = full
         for u, sign in constraints.items():
+            _check_constraint_vertex(u, self.base.vertex_count)
             if self.base.class_of(u) == class_index:
                 raise ClassCollision(f"constraint vertex {u} lies in class {class_index}")
             plus = cache.get(u)
@@ -489,7 +487,6 @@ class LazyTarget:
             raise DomainError("need free_classes >= 1 and pool_capacity >= 0")
         self.free_classes = free_classes
         self.pool_capacity = pool_capacity
-        self.fullness_arity: int | None = None  # unbounded
         self._class_of: list[int] = []
         self._minted: dict[int, list[int]] = {}
         self._orient: dict[tuple[int, int], int] = {}
@@ -556,6 +553,7 @@ class LazyTarget:
         if not 1 <= class_index <= self.free_classes:
             raise InvalidClass(f"class {class_index} outside 1..{self.free_classes}")
         for u in constraints:
+            _check_constraint_vertex(u, self.vertex_count)
             if self._class_of[u] == class_index:
                 raise ClassCollision(f"constraint vertex {u} lies in class {class_index}")
         for x in self._minted.get(class_index, ()):

@@ -119,6 +119,10 @@ def test_full_verify_failing_target(capsys, tmp_path):
     assert data["witness"] == {"class": 1, "vertices": [4, 6], "signs": [-1, -1]}
 
 
+# nested past the depth json.loads can recurse to
+DEEP_JSON = '{"n":' + "[" * 100_000
+
+
 def _k44_payload(**changes):
     payload = json.loads(cyclic_k44_target(2).to_json())
     payload.update(changes)
@@ -132,12 +136,25 @@ def _k44_payload(**changes):
         _k44_payload(arcs="%%%%"),
         _k44_payload(arcs="AAAA"),  # 3 bytes; 28 pairs need 4
         _k44_payload(N=0),
+        _k44_payload(certificate=[]),
+        _k44_payload(certificate="yes"),
+        '{"N":4,"arcs":"GAwnAA==","certificate":null,"d":2,"k":2}',
+        DEEP_JSON,
     ],
-    ids=["missing-key", "not-base64", "truncated-arcs", "zero-class-size"],
+    ids=[
+        "missing-key",
+        "not-base64",
+        "truncated-arcs",
+        "zero-class-size",
+        "certificate-list",
+        "certificate-string",
+        "certificate-null",
+        "deep-nesting",
+    ],
 )
 def test_full_verify_malformed_target(capsys, tmp_path, payload):
     f = tmp_path / "bad.json"
-    f.write_text(json.dumps(payload))
+    f.write_text(payload if isinstance(payload, str) else json.dumps(payload))
     code, out, err = run(capsys, "full", "verify", str(f))
     assert code == 1
     assert out == ""
@@ -223,6 +240,15 @@ def test_colour_non_integer_json_refused(capsys, tmp_path):
     assert err.startswith("error: ParseError")
 
 
+def test_colour_deeply_nested_json_refused(capsys, tmp_path):
+    f = tmp_path / "deep.json"
+    f.write_text(DEEP_JSON)
+    code, out, err = run(capsys, "colour", str(f), "--g", "2")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ParseError: line 1: ")
+
+
 def test_colour_huge_header_refused(capsys, tmp_path):
     # two billion vertices would need about 16 GB of masks
     f = tmp_path / "huge.og"
@@ -286,6 +312,29 @@ def test_gen_transitive(capsys):
     code, out, _ = run(capsys, "gen", "transitive-tournament", "--n", "3")
     assert code == 0
     assert out == "3 3\n0 1\n0 2\n1 2\n"
+
+
+# -- command line ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("colour", "g.txt", "--g", "2", "--bogus"), ()],
+    ids=["unknown-option", "missing-subcommand"],
+)
+def test_usage_error_exit_1(capsys, argv):
+    # 2 is reserved for a refused budget; a bad command line is bad input
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_help_exit_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: orichrome")
 
 
 # -- closed stdout -------------------------------------------------------------

@@ -1,4 +1,3 @@
-import json
 
 import pytest
 from hypothesis import assume, given, settings
@@ -94,13 +93,6 @@ def test_greedy_rejects_non_permutation(path3):
 
     with pytest.raises(ValueError):
         greedy_two_dipath(path3, VertexOrdering(order=(0, 1), degeneracy=1))
-
-
-def test_colouring_serializes(path3):
-    res = _greedy(path3)
-    data = json.loads(res.to_json())
-    assert data["palette"] == res.palette_size
-    assert len(data["colours"]) == 3
 
 
 # -- stratified combinator -------------------------------------------------------

@@ -11,13 +11,12 @@ from orichrome import (
     graph_from_json,
     graph_to_json,
     is_oriented_clique,
-    orientation_vector,
     parse_edge_list,
     random_oriented_graph,
     random_orientation,
     serialize_edge_list,
 )
-from orichrome.errors import InvariantViolation, NonAdjacent, ParseError, TooLarge
+from orichrome.errors import InvariantViolation, ParseError, TooLarge
 
 seeds = st.integers(min_value=0, max_value=2**62)
 sizes = st.integers(min_value=1, max_value=12)
@@ -49,36 +48,9 @@ def test_out_of_range_rejected():
 def test_degree_counts(path3):
     assert path3.degree(1) == 2
     assert path3.out_neighbours(0) == [1]
-    assert path3.in_neighbours(2) == [1]
     assert path3.arc_count == 2
     assert path3.max_degree() == 2
     assert path3.min_degree() == 1
-
-
-# -- orientation vectors -------------------------------------------------------
-
-
-def test_orientation_vector_path(path3):
-    assert orientation_vector(path3, [0, 2], 1) == (-1, 1)
-
-
-def test_orientation_vector_empty(path3):
-    assert orientation_vector(path3, [], 0) == ()
-
-
-def test_orientation_vector_nonadjacent(path3):
-    with pytest.raises(NonAdjacent):
-        orientation_vector(path3, [2], 0)
-
-
-@given(seeds, sizes)
-def test_orientation_vector_matches_arcs(seed, n):
-    g = random_oriented_graph(n, seed)
-    for v in range(n):
-        nbrs = g.neighbours(v)
-        vec = orientation_vector(g, nbrs, v)
-        for u, entry in zip(nbrs, vec):
-            assert entry == (1 if g.has_arc(v, u) else -1)
 
 
 # -- directed square -----------------------------------------------------------

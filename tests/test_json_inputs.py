@@ -1,0 +1,35 @@
+"""Mutated JSON documents: the parsers raise only the package's own errors."""
+
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from orichrome import FullTarget, cyclic_k44_target, graph_from_json, graph_to_json, random_oriented_graph
+from orichrome.errors import OrichromeError
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=10,
+)
+
+VALID = {
+    "graph": (graph_from_json, json.loads(graph_to_json(random_oriented_graph(5, 1)))),
+    "target": (FullTarget.from_json, json.loads(cyclic_k44_target(2).to_json())),
+}
+
+
+@pytest.mark.parametrize("name", list(VALID))
+@settings(deadline=None, max_examples=300)
+@given(data=st.data())
+def test_parser_raises_only_package_errors(name, data):
+    parse, valid = VALID[name]
+    value = data.draw(json_values, label="value")
+    field = data.draw(st.sampled_from([None, *sorted(valid)]), label="field")
+    document = value if field is None else {**valid, field: value}
+    try:
+        parse(json.dumps(document))
+    except OrichromeError:
+        pass

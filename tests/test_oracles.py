@@ -8,7 +8,6 @@ from orichrome import (
     chromatic_number,
     directed_cycle,
     exact_oriented_chromatic,
-    exact_oriented_chromatic_simple,
     exact_two_dipath,
     is_oriented_clique,
     is_valid_two_dipath,
@@ -57,29 +56,6 @@ def test_none_when_cap_too_tight():
 def test_witness_validates(hub_hexagon):
     res = exact_oriented_chromatic(hub_hexagon)
     assert validate_homomorphism(hub_hexagon, res.target, res.witness)
-
-
-# -- worst orientation of a simple graph -----------------------------------------
-
-
-def test_simple_k3():
-    g = SimpleGraph(3, [(0, 1), (1, 2), (0, 2)])
-    assert exact_oriented_chromatic_simple(g).value == 3
-
-
-def test_simple_p3():
-    g = SimpleGraph(3, [(0, 1), (1, 2)])
-    assert exact_oriented_chromatic_simple(g).value == 3
-
-
-def test_simple_edgeless():
-    assert exact_oriented_chromatic_simple(SimpleGraph(4)).value == 1
-
-
-def test_simple_edge_cap():
-    g = SimpleGraph(17, [(i, i + 1) for i in range(16)])
-    with pytest.raises(CapExceeded):
-        exact_oriented_chromatic_simple(g)
 
 
 # -- distance-2 chromatic number --------------------------------------------------

@@ -11,10 +11,8 @@ from orichrome import (
     colour_surface_graph,
     cyclic_k44_target,
     discharge_check,
-    embed_small,
     exact_oriented_chromatic,
     extend_vertex,
-    orientation_vector,
     random_orientation,
     random_oriented_graph,
     random_tournament,
@@ -227,9 +225,16 @@ def test_not_reduced_low_degree_edge():
 # -- pool embedding ---------------------------------------------------------------
 
 
+def embed(g, target):
+    """All of g mapped into the pool by the path colour_surface_graph runs."""
+    hom = Homomorphism(g, target)
+    pipeline._embed_pool(hom, range(g.n), g.arcs())
+    return hom
+
+
 def test_embed_single_vertex():
     t = LazyTarget(4, 3)
-    hom = embed_small(OrientedGraph(1), t)
+    hom = embed(OrientedGraph(1), t)
     assert hom.validate()
     assert t.minted(0) == [hom.mapping[0]]
 
@@ -237,7 +242,7 @@ def test_embed_single_vertex():
 def test_embed_tournament_installs_all_arcs():
     g = random_tournament(5, seed=8)
     t = LazyTarget(4, 6)
-    hom = embed_small(g, t)
+    hom = embed(g, t)
     assert hom.validate()
     assert len(t.fixed_arcs()) == 10
 
@@ -247,7 +252,7 @@ def test_embed_restricted_pool():
     verify_full(base)
     r = build_restricted(base, 1)
     g = random_tournament(4, seed=9)
-    hom = embed_small(g, r)
+    hom = embed(g, r)
     assert hom.validate()
     assert len(r.extra_arcs) == 6
     assert sorted(hom.mapping.values()) == list(r.pool)
@@ -262,17 +267,17 @@ POOLS = {
 
 @pytest.mark.parametrize("make_target", POOLS.values(), ids=list(POOLS))
 def test_embed_pigeonhole(make_target):
-    assert embed_small(random_tournament(4, 1), make_target()).validate()
+    assert embed(random_tournament(4, 1), make_target()).validate()
     with pytest.raises(CapacityExceeded):
-        embed_small(random_tournament(5, 1), make_target())
+        embed(random_tournament(5, 1), make_target())
 
 
 @pytest.mark.parametrize("make_target", POOLS.values(), ids=list(POOLS))
 def test_embed_requires_fresh_pool(make_target):
     t = make_target()
-    embed_small(random_tournament(2, 1), t)
+    embed(random_tournament(2, 1), t)
     with pytest.raises(PreconditionViolated):
-        embed_small(random_tournament(2, 1), t)
+        embed(random_tournament(2, 1), t)
 
 
 # -- single-vertex extension --------------------------------------------------------
@@ -291,12 +296,11 @@ def test_extend_matches_orientation_vector():
     # must reproduce that sign pattern exactly
     g = OrientedGraph(7, [(6, i) for i in range(3)] + [(i, 6) for i in range(3, 6)])
     t = LazyTarget(10, 6)
-    base = embed_small(OrientedGraph(6), t)
+    base = embed(OrientedGraph(6), t)
     hom = Homomorphism(g, t, base.mapping)
     hom = extend_vertex(hom, 6, 4)
     image = hom.mapping[6]
-    nbrs = [hom.mapping[v] for v in range(6)]
-    vec = orientation_vector(t.to_oriented_graph(), nbrs, image)
+    vec = tuple(t.orientation(image, hom.mapping[v]) for v in range(6))
     assert vec == (1, 1, 1, -1, -1, -1)
     assert hom.validate()
 

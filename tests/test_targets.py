@@ -269,6 +269,27 @@ def test_restricted_needs_free_class():
         build_restricted(cyclic_k44_target(1), 2)
 
 
+# each target with the state a query may change: installed pool arcs for the
+# restricted target, minted vertices and fixed orientations for the lazy one
+QUERY_TARGETS = {
+    "restricted": (lambda: build_restricted(cyclic_k44_target(1), 1), lambda t: set(t.extra_arcs)),
+    "lazy": (lambda: LazyTarget(3, 2), lambda t: (t.vertex_count, t.fixed_arcs())),
+}
+
+
+@pytest.mark.parametrize("constraints", [{10**6: -1}, {-1: 1}], ids=["above", "negative"])
+@pytest.mark.parametrize("name", list(QUERY_TARGETS))
+def test_query_refuses_vertex_outside_target(name, constraints):
+    make, state = QUERY_TARGETS[name]
+    t = make()
+    a, b = t.reserve_pool(2)
+    t.install_pool_arc(a, b)
+    before = state(t)
+    with pytest.raises(InvalidClass):
+        t.query(1, constraints)
+    assert state(t) == before
+
+
 # -- lazy targets -------------------------------------------------------------------
 
 
