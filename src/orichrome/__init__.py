@@ -67,7 +67,6 @@ from .pipeline import (
     ReductionResult,
     colour_surface_graph,
     discharge_check,
-    extend_vertex,
     reduce_graph,
 )
 from .rng import SplitMix64, derive_seed

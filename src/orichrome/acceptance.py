@@ -16,14 +16,7 @@ from dataclasses import dataclass
 from .bounds import chi_lower_bound, extremal_clique_order, lambert_w0, surface_parameters
 from .dipath import greedy_two_dipath, is_valid_two_dipath, two_dipath_palette_bound
 from .errors import OrichromeError
-from .generate import (
-    all_oriented_graphs,
-    planar_sparse_graph,
-    random_orientation,
-    random_oriented_graph,
-    stacked_triangulation,
-    toroidal_grid,
-)
+from .generate import all_oriented_graphs, generate, random_oriented_graph
 from .graphs import degeneracy_ordering, is_oriented_clique
 from .oracles import (
     exact_oriented_chromatic,
@@ -280,18 +273,12 @@ def _batch_instances(seed: int):
         genus = 2 + (i % 4)
         s = derive_seed(seed, 0xAC7, i)
         if family == "toroidal-grid":
-            rows = 3 + (i // 3) % 12
-            cols = 3 + (i // 5) % 14
-            g = toroidal_grid(rows, cols, s)
-            size = {"rows": rows, "cols": cols}
+            size = {"rows": 3 + (i // 3) % 12, "cols": 3 + (i // 5) % 14}
         elif family == "stacked-triangulation":
-            n = 20 + (i * 3) % 281
-            g = random_orientation(stacked_triangulation(n, s), derive_seed(s, 1))
-            size = {"n": n}
+            size = {"n": 20 + (i * 3) % 281}
         else:
-            n = 10 + (i * 7) % 291
-            g = random_orientation(planar_sparse_graph(n, s), derive_seed(s, 1))
-            size = {"n": n}
+            size = {"n": 10 + (i * 7) % 291}
+        g = generate(family, seed=s, **size)
         yield i, family, genus, g, size
 
 
@@ -304,7 +291,7 @@ def run_pipeline_batch(seed: int = DEFAULT_SEED, use_cache: bool = True) -> list
         entry = {"index": i, "family": family, "genus": genus, "vertices": g.n}
         entry.update(size)
         try:
-            res = colour_surface_graph(g, genus, debug=True)
+            res = colour_surface_graph(g, genus)
         except OrichromeError as exc:
             entry["valid"] = False
             entry["error"] = type(exc).__name__

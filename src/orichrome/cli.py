@@ -137,7 +137,7 @@ def _cmd_colour(args) -> int:
             base = FullTarget.from_json(fh.read())
         free = args.free_classes if args.free_classes is not None else base.k - 1
         target = build_restricted(base, free)
-    res = colour_surface_graph(g, args.g, target=target, debug=args.debug)
+    res = colour_surface_graph(g, args.g, target=target)
     sys.stdout.write(res.to_json() + "\n")
     return 0
 
@@ -214,7 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", type=int, required=True, help="asserted Euler genus bound")
     p.add_argument("--target-file", default=None, help="use a stored target instead of lazy")
     p.add_argument("--free-classes", type=int, default=None)
-    p.add_argument("--debug", action="store_true", help="check every replay step")
     p.set_defaults(fn=_cmd_colour)
 
     p = sub.add_parser("bounds", help="CSV table of genus bounds")

@@ -11,7 +11,7 @@ from __future__ import annotations
 from itertools import combinations, permutations, product
 from typing import Iterator
 
-from .errors import InvariantViolation, TooLarge
+from .errors import DomainError, InvariantViolation, TooLarge
 from .graphs import OrientedGraph, SimpleGraph, bits
 from .rng import SplitMix64, derive_seed
 
@@ -219,19 +219,28 @@ def all_tournaments(n: int) -> list[OrientedGraph]:
 
 
 def generate(kind: str, seed: int = 0, **params) -> OrientedGraph:
-    """Build one oriented graph of the named kind (CLI entry point)."""
+    """Build one oriented graph of the named kind (CLI entry point).
+
+    A size parameter the kind needs but ``params`` lacks raises DomainError.
+    """
+
+    def need(name: str):
+        if params.get(name) is None:
+            raise DomainError(f"graph kind {kind!r} needs the parameter {name!r}")
+        return params[name]
+
     if kind == "complete-tournament":
-        return random_tournament(params["n"], seed)
+        return random_tournament(need("n"), seed)
     if kind == "transitive-tournament":
-        return transitive_tournament(params["n"])
+        return transitive_tournament(need("n"))
     if kind == "directed-cycle":
-        return directed_cycle(params["n"])
+        return directed_cycle(need("n"))
     if kind == "toroidal-grid":
-        return toroidal_grid(params["rows"], params["cols"], seed)
+        return toroidal_grid(need("rows"), need("cols"), seed)
     if kind == "stacked-triangulation":
-        return random_orientation(stacked_triangulation(params["n"], seed), derive_seed(seed, 1))
+        return random_orientation(stacked_triangulation(need("n"), seed), derive_seed(seed, 1))
     if kind == "planar-sparse":
-        return random_orientation(planar_sparse_graph(params["n"], seed), derive_seed(seed, 1))
+        return random_orientation(planar_sparse_graph(need("n"), seed), derive_seed(seed, 1))
     if kind == "random-oriented":
-        return random_oriented_graph(params["n"], seed, params.get("density", 0.5))
+        return random_oriented_graph(need("n"), seed, params.get("density", 0.5))
     raise ValueError(f"unknown graph kind {kind!r}")

@@ -241,71 +241,40 @@ def discharge_check(core: OrientedGraph, genus: int) -> tuple[ChargeLedger, bool
     return ledger, core.max_degree() <= params.core_degree_limit
 
 
-class Homomorphism:
-    """Vertex map from an oriented source into a restricted or lazy target."""
-
-    def __init__(self, source: OrientedGraph, target, mapping=None):
-        self.source = source
-        self.target = target
-        self.mapping: dict[int, int] = dict(mapping or {})
-
-    def validate(self) -> bool:
-        """Mapped arcs land on target arcs; pool images stay injective."""
-        for u, v in self.source.arcs():
-            a = self.mapping.get(u)
-            b = self.mapping.get(v)
-            if a is None or b is None:
-                continue
-            if self.target.orientation(a, b) != 1:
-                return False
-        pool_images = [
-            x for x in self.mapping.values() if self.target.class_of(x) == 0
-        ]
-        return len(pool_images) == len(set(pool_images))
+def _valid(g: OrientedGraph, target, mapping: dict[int, int]) -> bool:
+    """Every arc of g lands on a target arc; pool images stay injective."""
+    if any(target.orientation(mapping[u], mapping[v]) != 1 for u, v in g.arcs()):
+        return False
+    pool_images = [x for x in mapping.values() if target.class_of(x) == 0]
+    return len(pool_images) == len(set(pool_images))
 
 
-def _embed_pool(hom: Homomorphism, vertices, arcs) -> None:
-    """Map ``vertices`` injectively into the reserved pool, then install ``arcs``."""
-    for v, x in zip(vertices, hom.target.reserve_pool(len(vertices))):
-        hom.mapping[v] = x
-    for a, b in arcs:
-        hom.target.install_pool_arc(hom.mapping[a], hom.mapping[b])
+def _embed_pool(target, wk: _WorkGraph, vertices) -> dict[int, int]:
+    """Map ``vertices`` injectively into the reserved pool, then install the
+    ``wk`` arcs among them by ascending tail and head."""
+    mapping = dict(zip(vertices, target.reserve_pool(len(vertices))))
+    in_pool = sum(1 << v for v in mapping)
+    for a in sorted(mapping):
+        for b in bits(wk.out[a] & in_pool):
+            target.install_pool_arc(mapping[a], mapping[b])
+    return mapping
 
 
-def _merge_constraint(constraints: dict[int, int], image: int, sign: int) -> None:
-    known = constraints.get(image)
-    if known is None:
-        constraints[image] = sign
-    elif known != sign:
-        raise ConstraintConflict(
-            f"image {image} required with both orientations"
-        )
+def _constraints(mapping: dict[int, int], wk: _WorkGraph, v: int) -> dict[int, int]:
+    """Image -> sign toward it for every mapped neighbour of v in the work graph.
 
-
-def extend_vertex(partial: Homomorphism, v: int, class_index: int) -> Homomorphism:
-    """Map one more source vertex into the given class of the target.
-
-    Constraints are the orientations between v and its already-mapped
-    neighbours' images; conflicting requirements on a shared image raise
+    Two neighbours sharing an image with opposite signs raise
     ConstraintConflict (impossible when the mapped part is valid, since the
     target never holds both directions of a pair).
     """
-    src = partial.source
-    constraints: dict[int, int] = {}
-    for u in src.neighbours(v):
-        img = partial.mapping.get(u)
-        if img is None:
-            continue
-        _merge_constraint(constraints, img, 1 if src.has_arc(v, u) else -1)
-    partial.mapping[v] = partial.target.query(class_index, constraints)
-    return partial
-
-
-def _work_constraints(hom: Homomorphism, wk: _WorkGraph, v: int) -> dict[int, int]:
-    """Image -> sign toward it for every current neighbour of v in the work graph."""
     constraints: dict[int, int] = {}
     for u in bits(wk.adj(v)):
-        _merge_constraint(constraints, hom.mapping[u], 1 if wk.out[v] >> u & 1 else -1)
+        image = mapping.get(u)
+        if image is None:
+            continue
+        sign = 1 if wk.out[v] >> u & 1 else -1
+        if constraints.setdefault(image, sign) != sign:
+            raise ConstraintConflict(f"image {image} required with both orientations")
     return constraints
 
 
@@ -322,10 +291,18 @@ def _classes_of(target, images) -> set[int]:
     return {target.class_of(x) for x in images}
 
 
-def _assert_realized(hom: Homomorphism, arcs) -> int:
+def _place(target, mapping: dict[int, int], wk: _WorkGraph, v: int, avoid: set[int]) -> int:
+    """Map v into the first free class clear of ``avoid`` and of its constraint images."""
+    constraints = _constraints(mapping, wk, v)
+    cls = _first_free_class(target, avoid | _classes_of(target, constraints))
+    mapping[v] = target.query(cls, constraints)
+    return cls
+
+
+def _assert_realized(target, mapping: dict[int, int], arcs) -> int:
     checked = 0
     for a, b in arcs:
-        if hom.target.orientation(hom.mapping[a], hom.mapping[b]) != 1:
+        if target.orientation(mapping[a], mapping[b]) != 1:
             raise InvariantViolation(
                 f"replay produced an unrealized arc ({a},{b})"
             )
@@ -369,12 +346,7 @@ class PipelineResult:
         )
 
 
-def colour_surface_graph(
-    g: OrientedGraph,
-    genus: int,
-    target=None,
-    debug: bool = False,
-) -> PipelineResult:
+def colour_surface_graph(g: OrientedGraph, genus: int, target=None) -> PipelineResult:
     """Colour a genus-<=genus oriented graph into a class-structured target.
 
     Stages: reduce to a core; discharge-check the core (max degree beyond
@@ -384,9 +356,9 @@ def colour_surface_graph(
     replay the reduction backwards, re-inserting vertices (<= 3 constraints)
     and edges (re-map the weak endpoint against <= 10 constraints, then the
     low one against <= 5) into classes disjoint from their constraint images.
-
-    debug=True re-checks every arc touched by each replay step against the
-    target's realized orientations.
+    Every vertex is mapped against its mapped neighbours on the reducer's
+    work graph, and every arc a replay step touches is re-checked against
+    the target's realized orientations.
     """
     params = surface_parameters(genus)
     if target is None:
@@ -404,36 +376,29 @@ def colour_surface_graph(
                 f"core max degree {core.max_degree()} exceeds {params.core_degree_limit}"
             )
 
-    hom = Homomorphism(g, target)
-    core_classes: dict[int, int] = {}
+    mapping: dict[int, int] = {}
     psi: DipathColouring | None = None
+    psi_colours: dict[int, int] | None = None
     pool_vertices: tuple[int, ...] = ()
     core_ordering: tuple[int, ...] = ()
 
+    # the work graph now holds exactly the core, in input labels
     if core.n:
         ordering = degeneracy_ordering(core)
-        order = ordering.order
-        core_ordering = tuple(orig[c] for c in order)
-        prefix = order[: params.reserved_capacity]
-        in_pool = set(prefix)
-        core_hom = Homomorphism(core, target)
-        _embed_pool(
-            core_hom, prefix, [(a, b) for a, b in core.arcs() if a in in_pool and b in in_pool]
-        )
-        pool_vertices = tuple(orig[c] for c in prefix)
-
-        if core.n > len(prefix):
+        core_ordering = tuple(orig[c] for c in ordering.order)
+        pool_vertices = core_ordering[: params.reserved_capacity]
+        mapping = _embed_pool(target, wk, pool_vertices)
+        if core.n > len(pool_vertices):
             try:
                 psi = surface_two_dipath(core, genus, ordering)
             except DegeneracyViolation as exc:
                 raise GenusAssumptionViolated(
                     f"degeneracy ordering breaks the genus promise: {exc}"
                 ) from exc
-            for c in order[len(prefix):]:
-                extend_vertex(core_hom, c, psi.colours[c])
-        for c, x in core_hom.mapping.items():
-            hom.mapping[orig[c]] = x
-            core_classes[orig[c]] = target.class_of(x)
+            psi_colours = {orig[c]: col for c, col in psi.colours.items()}
+            for v in core_ordering[len(pool_vertices):]:
+                mapping[v] = target.query(psi_colours[v], _constraints(mapping, wk, v))
+    core_classes = {v: target.class_of(x) for v, x in mapping.items()}
 
     # replay the peeling in reverse on the reducer's final work graph
     replay_classes: dict[int, int] = {}
@@ -446,50 +411,34 @@ def colour_surface_graph(
             wk.add_vertex(v)
             for a, b in step.incident:
                 wk.add_arc(a, b)
-            constraints = _work_constraints(hom, wk, v)
-            cls = _first_free_class(target, _classes_of(target, constraints))
-            hom.mapping[v] = target.query(cls, constraints)
-            replay_classes[v] = cls
-            if debug:
-                debug_checks += _assert_realized(hom, step.incident)
+            replay_classes[v] = _place(target, mapping, wk, v, set())
+            debug_checks += _assert_realized(target, mapping, step.incident)
         else:
             v, w = step.low_vertex, step.other
-            # v and w are not adjacent here, so re-mapping w leaves v_constraints as is
-            w_constraints = _work_constraints(hom, wk, w)
-            v_constraints = _work_constraints(hom, wk, v)
-            avoid = _classes_of(target, w_constraints) | _classes_of(target, v_constraints)
-            cls_w = _first_free_class(target, avoid)
-            hom.mapping[w] = target.query(cls_w, w_constraints)
-            replay_classes[w] = cls_w
-            z = hom.mapping[w]
-
-            if z in v_constraints:
-                raise InvariantViolation(f"image {z} of {w} already constrains {v}")
-            _merge_constraint(v_constraints, z, 1 if step.arc == (v, w) else -1)
-            cls_v = _first_free_class(target, _classes_of(target, v_constraints))
-            hom.mapping[v] = target.query(cls_v, v_constraints)
-            replay_classes[v] = cls_v
+            # v and w are not adjacent here, so re-mapping w leaves v's constraints as they are
+            v_constraints = _constraints(mapping, wk, v)
+            replay_classes[w] = _place(target, mapping, wk, w, _classes_of(target, v_constraints))
+            if mapping[w] in v_constraints:
+                raise InvariantViolation(f"image {mapping[w]} of {w} already constrains {v}")
             wk.add_arc(*step.arc)
-            if debug:
-                debug_checks += _assert_realized(hom, wk.incident(w) + wk.incident(v))
+            replay_classes[v] = _place(target, mapping, wk, v, set())
+            debug_checks += _assert_realized(target, mapping, wk.incident(w) + wk.incident(v))
 
-    valid = hom.validate()
-    colours_used = len(set(hom.mapping.values()))
     return PipelineResult(
-        valid=valid,
-        colours_used=colours_used,
+        valid=_valid(g, target, mapping),
+        colours_used=len(set(mapping.values())),
         reduction_steps=len(steps),
         core_size=core.n,
         psi_palette=psi.palette_size if psi else 0,
         genus=genus,
-        mapping=hom.mapping,
+        mapping=mapping,
         target=target,
         core=core,
         core_vertices=orig,
         core_ordering=core_ordering,
         pool_vertices=pool_vertices,
         core_classes=core_classes,
-        psi_colours={orig[c]: col for c, col in psi.colours.items()} if psi else None,
+        psi_colours=psi_colours,
         replay_classes=replay_classes,
         ledger=ledger,
         debug_checks=debug_checks,

@@ -235,7 +235,7 @@ def _points_at(t: FullTarget, c: int, u: int) -> int:
     return mask
 
 
-def verify_full(t: FullTarget, budget: int | None = None):
+def verify_full(t: FullTarget):
     """Check the realization property at the target's arity.
 
     Checking subsets of size exactly min(d, outside) suffices: any realizer
@@ -243,12 +243,11 @@ def verify_full(t: FullTarget, budget: int | None = None):
     certified) or a falsy FailureWitness for the lexicographically first
     failing (class, subset) with its first missing sign vector.
     """
-    budget = _DEFAULT_VERIFY_BUDGET if budget is None else budget
     outside_count = (t.k - 1) * t.N
     arity = min(t.d, outside_count)
     work = t.k * math.comb(outside_count, arity) * (1 << arity)
-    if work > budget:
-        raise BudgetExceeded(f"verification needs ~{work} checks, budget {budget}")
+    if work > _DEFAULT_VERIFY_BUDGET:
+        raise BudgetExceeded(f"verification needs ~{work} checks, budget {_DEFAULT_VERIFY_BUDGET}")
 
     full = (1 << t.N) - 1
     for c in range(1, t.k + 1):
@@ -317,27 +316,27 @@ def _orient_cross_pairs(k: int, N: int, bits) -> list[int]:
     return out
 
 
-def sample_full(k: int, d: int, seed: int = 0, max_attempts: int = _SAMPLE_ATTEMPTS, budget: int | None = None) -> FullTarget:
+def sample_full(k: int, d: int, seed: int = 0) -> FullTarget:
     """Sample and certify a (k, d, N)-full target with N = ceil(8^d * ln k).
 
     Las Vegas: each attempt orients all cross-class pairs by independent fair
     coins from a seed-derived stream and runs the verifier; the first
-    certified sample is returned.  Raises BudgetExceeded when max_attempts
-    samples all fail (astronomically unlikely at the designed N).
+    certified sample is returned.  Raises BudgetExceeded when all
+    _SAMPLE_ATTEMPTS samples fail (astronomically unlikely at the designed N).
     """
     if k < 5 or d < 2:
         raise DomainError("sampling bound proved for k >= 5, d >= 2")
     N = math.ceil(8**d * math.log(k))
-    for attempt in range(max_attempts):
+    for attempt in range(_SAMPLE_ATTEMPTS):
         rng = SplitMix64(derive_seed(seed, 0xF011, attempt))
         out = _orient_cross_pairs(k, N, iter(rng.coin, None))
         t = FullTarget._from_out_masks(k, d, N, out, derive_seed(seed, 0xF011, attempt))
-        if verify_full(t, budget=budget) is True:
+        if verify_full(t) is True:
             return t
-    raise BudgetExceeded(f"no certified sample within {max_attempts} attempts")
+    raise BudgetExceeded(f"no certified sample within {_SAMPLE_ATTEMPTS} attempts")
 
 
-def minimal_full_N(k: int, d: int, n_cap: int = 6, budget: int | None = None) -> int | None:
+def minimal_full_N(k: int, d: int, n_cap: int = 6) -> int | None:
     """Smallest N <= n_cap admitting a (k, d, N)-full orientation, by exhaustion.
 
     Scans N upward, trying every orientation of the complete k-partite graph.
@@ -347,11 +346,10 @@ def minimal_full_N(k: int, d: int, n_cap: int = 6, budget: int | None = None) ->
     """
     if k > 3 or d > 2 or n_cap > 6:
         raise DomainError("exhaustive search supports k <= 3, d <= 2, N <= 6")
-    budget = _DEFAULT_MINIMAL_BUDGET if budget is None else budget
     for N in range(1, n_cap + 1):
         pairs = k * (k - 1) // 2 * N * N
-        if 1 << pairs > budget:
-            raise BudgetExceeded(f"N = {N} needs 2^{pairs} orientations, budget {budget}")
+        if 1 << pairs > _DEFAULT_MINIMAL_BUDGET:
+            raise BudgetExceeded(f"N = {N} needs 2^{pairs} orientations, budget {_DEFAULT_MINIMAL_BUDGET}")
         for code in range(1 << pairs):
             out = _orient_cross_pairs(k, N, (code >> i & 1 for i in range(pairs)))
             t = FullTarget._from_out_masks(k, d, N, out, None)
@@ -371,14 +369,17 @@ def _check_pool_request(in_use: bool, count: int, capacity: int) -> None:
         raise CapacityExceeded(f"{count} vertices exceed the reserved pool capacity {capacity}")
 
 
-def _check_constraint_vertex(u: int, vertex_count: int) -> None:
-    """The query gate every target shares: constraints name existing vertices."""
+def _check_vertex(u: int, vertex_count: int) -> None:
+    """The gate every target's query and install_pool_arc share: each
+    constraint vertex and pool-arc end names an existing vertex."""
     if not 0 <= u < vertex_count:
-        raise InvalidClass(f"constraint vertex {u} outside 0..{vertex_count - 1}")
+        raise InvalidClass(f"vertex {u} outside 0..{vertex_count - 1}")
 
 
-def _check_pool_arc(target, a: int, b: int) -> None:
+def _check_pool_arc(target, a: int, b: int, vertex_count: int) -> None:
     """The install_pool_arc gates every target shares, in their fixed order."""
+    _check_vertex(a, vertex_count)
+    _check_vertex(b, vertex_count)
     if target.class_of(a) != 0 or target.class_of(b) != 0:
         raise InvalidClass("pool arcs may only join pool vertices")
     if a == b:
@@ -429,7 +430,7 @@ class RestrictedTarget:
         return self.base.orientation(a, b)
 
     def install_pool_arc(self, a: int, b: int) -> None:
-        _check_pool_arc(self, a, b)
+        _check_pool_arc(self, a, b, self.base.vertex_count)
         self.extra_arcs.add((a, b))
 
     def reserve_pool(self, count: int) -> list[int]:
@@ -448,7 +449,7 @@ class RestrictedTarget:
         cache = self._plus_cache.setdefault(class_index, {})
         mask = full
         for u, sign in constraints.items():
-            _check_constraint_vertex(u, self.base.vertex_count)
+            _check_vertex(u, self.base.vertex_count)
             if self.base.class_of(u) == class_index:
                 raise ClassCollision(f"constraint vertex {u} lies in class {class_index}")
             plus = cache.get(u)
@@ -540,7 +541,7 @@ class LazyTarget:
         return self._get(a, b)
 
     def install_pool_arc(self, a: int, b: int) -> None:
-        _check_pool_arc(self, a, b)
+        _check_pool_arc(self, a, b, self.vertex_count)
         self._set(a, b, 1)
 
     def query(self, class_index: int, constraints: dict[int, int]) -> int:
@@ -553,7 +554,7 @@ class LazyTarget:
         if not 1 <= class_index <= self.free_classes:
             raise InvalidClass(f"class {class_index} outside 1..{self.free_classes}")
         for u in constraints:
-            _check_constraint_vertex(u, self.vertex_count)
+            _check_vertex(u, self.vertex_count)
             if self._class_of[u] == class_index:
                 raise ClassCollision(f"constraint vertex {u} lies in class {class_index}")
         for x in self._minted.get(class_index, ()):

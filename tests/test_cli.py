@@ -314,6 +314,27 @@ def test_gen_transitive(capsys):
     assert out == "3 3\n0 1\n0 2\n1 2\n"
 
 
+# every gen kind, each with a size option it needs left out
+GEN_WITHOUT_SIZE = {
+    "complete-tournament": ("complete-tournament",),
+    "transitive-tournament": ("transitive-tournament",),
+    "directed-cycle": ("directed-cycle",),
+    "toroidal-grid-rows": ("toroidal-grid", "--cols", "3"),
+    "toroidal-grid-cols": ("toroidal-grid", "--rows", "3"),
+    "stacked-triangulation": ("stacked-triangulation",),
+    "planar-sparse": ("planar-sparse",),
+    "random-oriented": ("random-oriented", "--density", "0.3"),
+}
+
+
+@pytest.mark.parametrize("argv", GEN_WITHOUT_SIZE.values(), ids=list(GEN_WITHOUT_SIZE))
+def test_gen_missing_size_option(capsys, argv):
+    code, out, err = run(capsys, "gen", *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 # -- command line ---------------------------------------------------------------
 
 

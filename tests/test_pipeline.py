@@ -12,7 +12,6 @@ from orichrome import (
     cyclic_k44_target,
     discharge_check,
     exact_oriented_chromatic,
-    extend_vertex,
     random_orientation,
     random_oriented_graph,
     random_tournament,
@@ -23,8 +22,8 @@ from orichrome import (
     verify_full,
 )
 from orichrome.errors import (
-    ArityExceeded,
     CapacityExceeded,
+    ConstraintConflict,
     DomainError,
     GenusAssumptionViolated,
     InvariantViolation,
@@ -32,7 +31,6 @@ from orichrome.errors import (
     PreconditionViolated,
 )
 from orichrome import pipeline
-from orichrome.pipeline import Homomorphism
 
 seeds = st.integers(min_value=0, max_value=2**62)
 
@@ -227,23 +225,20 @@ def test_not_reduced_low_degree_edge():
 
 def embed(g, target):
     """All of g mapped into the pool by the path colour_surface_graph runs."""
-    hom = Homomorphism(g, target)
-    pipeline._embed_pool(hom, range(g.n), g.arcs())
-    return hom
+    return pipeline._embed_pool(target, pipeline._WorkGraph.from_graph(g), range(g.n))
 
 
 def test_embed_single_vertex():
     t = LazyTarget(4, 3)
-    hom = embed(OrientedGraph(1), t)
-    assert hom.validate()
-    assert t.minted(0) == [hom.mapping[0]]
+    mapping = embed(OrientedGraph(1), t)
+    assert pipeline._valid(OrientedGraph(1), t, mapping)
+    assert t.minted(0) == [mapping[0]]
 
 
 def test_embed_tournament_installs_all_arcs():
     g = random_tournament(5, seed=8)
     t = LazyTarget(4, 6)
-    hom = embed(g, t)
-    assert hom.validate()
+    assert pipeline._valid(g, t, embed(g, t))
     assert len(t.fixed_arcs()) == 10
 
 
@@ -252,10 +247,10 @@ def test_embed_restricted_pool():
     verify_full(base)
     r = build_restricted(base, 1)
     g = random_tournament(4, seed=9)
-    hom = embed(g, r)
-    assert hom.validate()
+    mapping = embed(g, r)
+    assert pipeline._valid(g, r, mapping)
     assert len(r.extra_arcs) == 6
-    assert sorted(hom.mapping.values()) == list(r.pool)
+    assert sorted(mapping.values()) == list(r.pool)
 
 
 # both pools hold four vertices
@@ -267,7 +262,8 @@ POOLS = {
 
 @pytest.mark.parametrize("make_target", POOLS.values(), ids=list(POOLS))
 def test_embed_pigeonhole(make_target):
-    assert embed(random_tournament(4, 1), make_target()).validate()
+    g, t = random_tournament(4, 1), make_target()
+    assert pipeline._valid(g, t, embed(g, t))
     with pytest.raises(CapacityExceeded):
         embed(random_tournament(5, 1), make_target())
 
@@ -280,46 +276,26 @@ def test_embed_requires_fresh_pool(make_target):
         embed(random_tournament(2, 1), t)
 
 
-# -- single-vertex extension --------------------------------------------------------
+# -- constraints ----------------------------------------------------------------------
 
 
-def test_extend_unconstrained():
-    t = LazyTarget(3, 1)
-    g = OrientedGraph(2, [(0, 1)])
-    hom = Homomorphism(g, t)
-    hom = extend_vertex(hom, 0, 2)
-    assert t.class_of(hom.mapping[0]) == 2
-
-
-def test_extend_matches_orientation_vector():
-    # vertex 6 aims at pool images 0..2 and away from 3..5; the minted image
-    # must reproduce that sign pattern exactly
+def test_constraints_read_mapped_neighbours():
+    # vertex 6 aims at 0..2 and away from 3..5; 5 is unmapped and drops out,
+    # and 1 shares 0's image with the same sign
     g = OrientedGraph(7, [(6, i) for i in range(3)] + [(i, 6) for i in range(3, 6)])
-    t = LazyTarget(10, 6)
-    base = embed(OrientedGraph(6), t)
-    hom = Homomorphism(g, t, base.mapping)
-    hom = extend_vertex(hom, 6, 4)
-    image = hom.mapping[6]
-    vec = tuple(t.orientation(image, hom.mapping[v]) for v in range(6))
-    assert vec == (1, 1, 1, -1, -1, -1)
-    assert hom.validate()
-
-
-def test_extend_arity_gate_on_certified_target():
-    base = cyclic_k44_target(1)
-    verify_full(base)
-    r = build_restricted(base, 1)
-    g = OrientedGraph(3, [(0, 2), (1, 2)])
-    hom = Homomorphism(g, r, {0: r.pool[0], 1: r.pool[1]})
-    with pytest.raises(ArityExceeded):
-        extend_vertex(hom, 2, 1)
+    wk = pipeline._WorkGraph.from_graph(g)
+    mapping = {0: 10, 1: 10, 2: 12, 3: 13, 4: 14}
+    assert pipeline._constraints(mapping, wk, 6) == {10: 1, 12: 1, 13: -1, 14: -1}
+    mapping[3] = 12
+    with pytest.raises(ConstraintConflict):
+        pipeline._constraints(mapping, wk, 6)
 
 
 # -- the full pipeline ----------------------------------------------------------------
 
 
 def test_pipeline_single_arc():
-    res = colour_surface_graph(OrientedGraph(2, [(0, 1)]), 2, debug=True)
+    res = colour_surface_graph(OrientedGraph(2, [(0, 1)]), 2)
     assert res.valid
     assert res.colours_used == 2
 
@@ -335,7 +311,7 @@ def test_pipeline_empty_graph():
 
 def test_pipeline_grid():
     g = toroidal_grid(5, 5, seed=11)
-    res = colour_surface_graph(g, 2, debug=True)
+    res = colour_surface_graph(g, 2)
     assert res.valid
     assert res.colours_used <= 25
     assert res.debug_checks > 0
@@ -343,7 +319,7 @@ def test_pipeline_grid():
 
 def test_pipeline_k7_embeds_in_pool():
     k7 = random_tournament(7, seed=1)
-    res = colour_surface_graph(k7, 2, debug=True)
+    res = colour_surface_graph(k7, 2)
     assert res.valid
     assert res.core_size == 7
     assert res.colours_used == 7
@@ -364,7 +340,7 @@ def test_pipeline_psi_classes_beyond_pool():
         for off in (1, 2, 3):
             arcs.append((i, (i + off) % 17))
     g = random_orientation(OrientedGraph(17, arcs).underlying(), 6)
-    res = colour_surface_graph(g, 2, debug=True)
+    res = colour_surface_graph(g, 2)
     assert res.valid
     assert res.core_size == 17
     assert res.reduction_steps == 0
@@ -377,7 +353,7 @@ def test_pipeline_psi_classes_beyond_pool():
 def test_pipeline_colours_at_least_oracle():
     for seed in range(20):
         g = random_oriented_graph(5, seed, density=0.7)
-        res = colour_surface_graph(g, 2, debug=True)
+        res = colour_surface_graph(g, 2)
         assert res.valid
         assert res.colours_used >= exact_oriented_chromatic(g).value
 
@@ -399,7 +375,7 @@ def test_pipeline_genus_gate():
 @given(seeds, st.integers(min_value=3, max_value=80), st.integers(min_value=2, max_value=5))
 def test_pipeline_random_triangulations(seed, n, genus):
     g = random_orientation(stacked_triangulation(n, seed), seed)
-    res = colour_surface_graph(g, genus, debug=True)
+    res = colour_surface_graph(g, genus)
     assert res.valid
     params = surface_parameters(genus)
     assert all(1 <= c <= params.free_classes for c in res.replay_classes.values())

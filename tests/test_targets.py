@@ -269,8 +269,9 @@ def test_restricted_needs_free_class():
         build_restricted(cyclic_k44_target(1), 2)
 
 
-# each target with the state a query may change: installed pool arcs for the
-# restricted target, minted vertices and fixed orientations for the lazy one
+# each target with the state a query or a pool arc may change: installed pool
+# arcs for the restricted target, minted vertices and fixed orientations for
+# the lazy one
 QUERY_TARGETS = {
     "restricted": (lambda: build_restricted(cyclic_k44_target(1), 1), lambda t: set(t.extra_arcs)),
     "lazy": (lambda: LazyTarget(3, 2), lambda t: (t.vertex_count, t.fixed_arcs())),
@@ -287,6 +288,19 @@ def test_query_refuses_vertex_outside_target(name, constraints):
     before = state(t)
     with pytest.raises(InvalidClass):
         t.query(1, constraints)
+    assert state(t) == before
+
+
+@pytest.mark.parametrize("outside", [10**6, -1], ids=["above", "negative"])
+@pytest.mark.parametrize("name", list(QUERY_TARGETS))
+def test_pool_arc_refuses_vertex_outside_target(name, outside):
+    make, state = QUERY_TARGETS[name]
+    t = make()
+    (a,) = t.reserve_pool(1)
+    before = state(t)
+    for ends in ((a, outside), (outside, a), (outside, outside + 1)):
+        with pytest.raises(InvalidClass):
+            t.install_pool_arc(*ends)
     assert state(t) == before
 
 
