@@ -7,7 +7,6 @@ graphs on surfaces.
 """
 
 from .bounds import (
-    BoundReport,
     bounds_table,
     chi_lower_bound,
     chi_upper_bound,

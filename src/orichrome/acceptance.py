@@ -203,7 +203,7 @@ def criterion_5(seed: int = DEFAULT_SEED) -> CriterionResult:
     t0 = time.perf_counter()
     f3 = min_edge_oriented_clique(3)
     f4 = min_edge_oriented_clique(4)
-    w5 = min_edge_oriented_clique(5, edge_budget=11, seed=seed)
+    w5 = min_edge_oriented_clique(5, edge_budget=11)
     witness_ok = (
         w5 is not None
         and w5.witness.arc_count <= 11
@@ -232,7 +232,7 @@ def criterion_6(seed: int = DEFAULT_SEED) -> CriterionResult:
     chain_bad = 0
     for g in range(11, 100001):
         n = extremal_clique_order(g)
-        low = chi_lower_bound(g).bound_value
+        low = chi_lower_bound(g)
         if not n > low - 1:
             chain_bad += 1
     residual_bad = 0

@@ -47,26 +47,14 @@ def surface_parameters(genus: int) -> SurfaceParameters:
     )
 
 
-@dataclass
-class BoundReport:
-    """One evaluated bound; ``kind`` says which inputs are meaningful."""
-
-    kind: str
-    bound_value: float
-    g: int | None = None
-    n: int | None = None
-    e: int | None = None
-    intermediate: float | None = None
-
-
-def genus_upper_from_edges(n: int, e: int) -> BoundReport:
+def genus_upper_from_edges(n: int, e: int) -> float:
     """Euler genus bound from average degree: (e/n - 1)*n + 1 = e - n + 1."""
     if n < 1 or e < 0:
         raise DomainError("need n >= 1 and e >= 0")
-    return BoundReport(kind="genus_upper", bound_value=float(e - n + 1), n=n, e=e)
+    return float(e - n + 1)
 
 
-def order_upper_from_min_degree(g: int, k: int, graph=None) -> BoundReport:
+def order_upper_from_min_degree(g: int, k: int, graph=None) -> float:
     """Strict order bound 6g/k for genus-g graphs with min degree >= k+6.
 
     When a graph is supplied its min degree is checked against the
@@ -78,7 +66,7 @@ def order_upper_from_min_degree(g: int, k: int, graph=None) -> BoundReport:
         raise PreconditionViolated(
             f"min degree {graph.min_degree()} below the hypothesis k+6 = {k + 6}"
         )
-    return BoundReport(kind="order_upper", bound_value=6 * g / k, g=g)
+    return 6 * g / k
 
 
 def lambert_w0(x: float) -> float:
@@ -104,12 +92,11 @@ def lambert_w0(x: float) -> float:
     raise NonConvergence(f"no convergence for x = {x!r}")
 
 
-def chi_lower_bound(g: int) -> BoundReport:
+def chi_lower_bound(g: int) -> float:
     """Near-linear lower bound ln(2)(g-1) / (ln(g-1) + ln(ln 2) - ln 2)."""
     if g < 11:
         raise DomainError("lower bound formula needs g >= 11")
-    value = LN2 * (g - 1) / (math.log(g - 1) + math.log(LN2) - LN2)
-    return BoundReport(kind="chi_lower", bound_value=value, g=g)
+    return LN2 * (g - 1) / (math.log(g - 1) + math.log(LN2) - LN2)
 
 
 def clique_order_threshold(n: int) -> float:
@@ -138,12 +125,13 @@ def extremal_clique_order(g: int) -> int:
     return n
 
 
-def chi_upper_bound(g: int) -> BoundReport:
-    """Headline upper bound 2^40 * g * ln(g) with its construction-size check.
+def chi_upper_bound(g: int) -> tuple[float, float]:
+    """``(headline, construction_size)``: the upper bound 2^40 * g * ln(g) and
+    the target size the construction actually needs.
 
-    The construction actually needs (144g-162) * ceil(8^10 * ln(144g-162))
-    target vertices, 8^10 coming from fullness arity 10; that intermediate
-    is asserted to sit under the headline.
+    That size is (144g-162) * ceil(8^10 * ln(144g-162)), 8^10 coming from
+    fullness arity 10, and is asserted to sit under the headline.  It is
+    returned as a float, as the headline is: from g ~ 10^5 it exceeds 2^53.
     """
     params = surface_parameters(g)
     headline = _HEADLINE_FACTOR * g * math.log(g)
@@ -151,12 +139,7 @@ def chi_upper_bound(g: int) -> BoundReport:
     intermediate = classes * math.ceil(8**params.fullness_arity * math.log(classes))
     if intermediate > headline:
         raise InvariantViolation(f"construction size {intermediate} exceeds the headline {headline}")
-    return BoundReport(
-        kind="chi_upper",
-        bound_value=headline,
-        g=g,
-        intermediate=float(intermediate),
-    )
+    return headline, float(intermediate)
 
 
 def bounds_table(g_min: int, g_max: int) -> str:
@@ -165,14 +148,14 @@ def bounds_table(g_min: int, g_max: int) -> str:
         raise DomainError("need 2 <= g_min <= g_max")
     lines = ["g,chi_lower,clique_order,chi_upper_intermediate,chi_upper"]
     for g in range(g_min, g_max + 1):
-        upper = chi_upper_bound(g)
+        headline, construction_size = chi_upper_bound(g)
         if g < 11:
             lower_text = "NA"
             order_text = "NA"
         else:
-            lower_text = f"{chi_lower_bound(g).bound_value:.6f}"
+            lower_text = f"{chi_lower_bound(g):.6f}"
             order_text = str(extremal_clique_order(g))
         lines.append(
-            f"{g},{lower_text},{order_text},{int(upper.intermediate)},{upper.bound_value:.6e}"
+            f"{g},{lower_text},{order_text},{int(construction_size)},{headline:.6e}"
         )
     return "\n".join(lines) + "\n"

@@ -4,7 +4,8 @@ stdout carries machine-readable data only (canonical JSON or CSV); stderr
 carries diagnostics.  Exit codes: 0 success, 1 bad input, a bad command line
 or a broken invariant (or the reader closed stdout early, which prints
 nothing), 2 resource cap or budget refused the work, 3 the asserted genus was
-detected to be impossible for the input graph.
+detected to be impossible for the input graph; each package error class
+declares its own status as ``exit_status``.
 """
 
 from __future__ import annotations
@@ -16,16 +17,7 @@ import sys
 
 from .acceptance import run_all
 from .bounds import bounds_table
-from .errors import (
-    ArityExceeded,
-    BudgetExceeded,
-    CapacityExceeded,
-    CapExceeded,
-    DegeneracyViolation,
-    GenusAssumptionViolated,
-    OrichromeError,
-    TooLarge,
-)
+from .errors import OrichromeError
 from .generate import generate
 from .graphs import graph_from_json, graph_to_json, parse_edge_list, serialize_edge_list
 from .oracles import exact_oriented_chromatic, exact_two_dipath
@@ -38,9 +30,6 @@ from .targets import (
     sample_full,
     verify_full,
 )
-
-_CAP_ERRORS = (CapExceeded, BudgetExceeded, TooLarge, CapacityExceeded, ArityExceeded)
-_GENUS_ERRORS = (GenusAssumptionViolated, DegeneracyViolation)
 
 
 def _dumps(obj) -> str:
@@ -266,12 +255,9 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 1
-    except _GENUS_ERRORS as exc:
+    except OrichromeError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
-    except _CAP_ERRORS as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except (OrichromeError, OSError, ValueError) as exc:
+        return exc.exit_status
+    except (OSError, ValueError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -1,14 +1,16 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes, so the distinctions are part of the
-public contract: parse problems, structural invariant breaks, resource caps,
-and detected violations of a caller's genus assertion are all different
-failure modes.
+Each class declares the CLI exit status it ends a run with, so the
+distinctions are part of the public contract: bad input and broken
+invariants exit 1, a refused cap or budget exits 2, and a detected violation
+of the caller's genus assertion exits 3.
 """
 
 
 class OrichromeError(Exception):
     """Base class for all package-specific errors."""
+
+    exit_status = 1
 
 
 class ParseError(OrichromeError):
@@ -26,21 +28,31 @@ class InvariantViolation(OrichromeError):
 class TooLarge(OrichromeError):
     """Requested enumeration exceeds the supported size."""
 
+    exit_status = 2
+
 
 class CapExceeded(OrichromeError):
     """Exact solver asked to search beyond its hard cap."""
+
+    exit_status = 2
 
 
 class BudgetExceeded(OrichromeError):
     """Work estimate exceeds the configured budget; no answer produced."""
 
+    exit_status = 2
+
 
 class CapacityExceeded(OrichromeError):
-    """Reserved pool of the target cannot hold the requested embedding."""
+    """The target has too few pool slots or free classes for the embedding."""
+
+    exit_status = 2
 
 
 class ArityExceeded(OrichromeError):
     """Constraint set larger than the target's certified fullness arity."""
+
+    exit_status = 2
 
 
 class ClassCollision(OrichromeError):
@@ -70,9 +82,13 @@ class PreconditionViolated(OrichromeError):
 class DegeneracyViolation(OrichromeError):
     """Stripped graph exceeded the promised back-degree under the ordering."""
 
+    exit_status = 3
+
 
 class GenusAssumptionViolated(OrichromeError):
     """Input graph cannot have the asserted Euler genus."""
+
+    exit_status = 3
 
 
 class NotReduced(OrichromeError):

@@ -14,14 +14,12 @@ from itertools import combinations
 from typing import Mapping
 
 from .errors import CapExceeded
-from .generate import all_tournaments, random_tournament
+from .generate import all_tournaments
 from .graphs import OrientedGraph, SimpleGraph, bits, directed_square, is_oriented_clique
-from .rng import derive_seed
 
 _CHI_O_CAP = 7
 _TWO_DIPATH_CAP = 20
-_MIN_EDGE_EXHAUSTIVE_CAP = 6
-_MIN_EDGE_WITNESS_CAP = 9
+_MIN_EDGE_CAP = 6
 
 
 @dataclass
@@ -198,57 +196,31 @@ def _underlying_diameter_two(n: int, edge_subset: tuple[tuple[int, int], ...]) -
     return True
 
 
-def min_edge_oriented_clique(n: int, edge_budget: int | None = None, seed: int = 0) -> SolveResult | None:
-    """Search for an oriented clique on n vertices with few arcs.
+def min_edge_oriented_clique(n: int, edge_budget: int | None = None) -> SolveResult | None:
+    """Exhaustive search for an oriented clique on n <= 6 vertices with few arcs.
 
-    Exhaustive for n <= 6: scans arc counts upward, so the first hit has the
-    minimum possible number of arcs; with an ``edge_budget`` the scan stops
-    there and returns None when no clique that small exists.  For n in 7..9 a
-    budget is required and a seeded heuristic (greedy arc deletion from random
-    tournaments) looks for any witness within it.
+    Scans arc counts upward, so the first hit has the minimum possible number
+    of arcs; with an ``edge_budget`` the scan stops there and returns None
+    when no clique that small exists.
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    if n > _MIN_EDGE_WITNESS_CAP:
-        raise CapExceeded(f"oriented clique search capped at n = {_MIN_EDGE_WITNESS_CAP}")
-
-    if n <= _MIN_EDGE_EXHAUSTIVE_CAP:
-        pairs = list(combinations(range(n), 2))
-        top = len(pairs) if edge_budget is None else min(edge_budget, len(pairs))
-        nodes = 0
-        for m in range(max(n - 1, 0), top + 1):
-            for subset in combinations(pairs, m):
-                if not _underlying_diameter_two(n, subset):
-                    continue
-                for code in range(1 << m):
-                    nodes += 1
-                    arcs = [
-                        (u, v) if code >> i & 1 else (v, u)
-                        for i, (u, v) in enumerate(subset)
-                    ]
-                    og = OrientedGraph(n, arcs)
-                    if is_oriented_clique(og):
-                        return SolveResult(value=m, witness=og, nodes_explored=nodes)
-        return None
-
-    if edge_budget is None:
-        raise ValueError("heuristic witness mode needs an edge budget")
+    if n > _MIN_EDGE_CAP:
+        raise CapExceeded(f"oriented clique search capped at n = {_MIN_EDGE_CAP}")
+    pairs = list(combinations(range(n), 2))
+    top = len(pairs) if edge_budget is None else min(edge_budget, len(pairs))
     nodes = 0
-    for attempt in range(64):
-        g = random_tournament(n, derive_seed(seed, 0x77, attempt))
-        out = [g.out_mask(u) for u in range(n)]
-        m = n * (n - 1) // 2
-        improved = True
-        while m > edge_budget and improved:
-            improved = False
-            for u, v in [(a, b) for a in range(n) for b in bits(out[a])]:
+    for m in range(max(n - 1, 0), top + 1):
+        for subset in combinations(pairs, m):
+            if not _underlying_diameter_two(n, subset):
+                continue
+            for code in range(1 << m):
                 nodes += 1
-                out[u] &= ~(1 << v)
-                if is_oriented_clique(OrientedGraph._from_masks(out)):
-                    m -= 1
-                    improved = True
-                    break
-                out[u] |= 1 << v
-        if m <= edge_budget:
-            return SolveResult(value=m, witness=OrientedGraph._from_masks(out), nodes_explored=nodes)
+                arcs = [
+                    (u, v) if code >> i & 1 else (v, u)
+                    for i, (u, v) in enumerate(subset)
+                ]
+                og = OrientedGraph(n, arcs)
+                if is_oriented_clique(og):
+                    return SolveResult(value=m, witness=og, nodes_explored=nodes)
     return None

@@ -396,7 +396,14 @@ def colour_surface_graph(g: OrientedGraph, genus: int, target=None) -> PipelineR
                     f"degeneracy ordering breaks the genus promise: {exc}"
                 ) from exc
             psi_colours = {orig[c]: col for c, col in psi.colours.items()}
-            for v in core_ordering[len(pool_vertices):]:
+            queried = core_ordering[len(pool_vertices):]
+            # the strip's colours sit on pool vertices, which are never queried
+            top = max(psi_colours[v] for v in queried)
+            if top > target.free_classes:
+                raise CapacityExceeded(
+                    f"core needs class {top}, the target has {target.free_classes} free classes"
+                )
+            for v in queried:
                 mapping[v] = target.query(psi_colours[v], _constraints(mapping, wk, v))
     core_classes = {v: target.class_of(x) for v, x in mapping.items()}
 

@@ -126,20 +126,19 @@ class FullTarget:
     # -- serialization ---------------------------------------------------
 
     def to_json(self) -> str:
+        # pair u < v is bit sum_{w<u} (n-1-w) + (v-u-1): the upper-triangle
+        # rows in order, row u of length n-1-u
         n = self.vertex_count
-        bitstring = bytearray((n * (n - 1) // 2 + 7) // 8)
-        idx = 0
-        for u in range(n):
-            for v in range(u + 1, n):
-                if self._out[u] >> v & 1:
-                    bitstring[idx >> 3] |= 1 << (idx & 7)
-                idx += 1
+        size = (n * (n - 1) // 2 + 7) // 8
+        total = 0
+        for u in range(n - 1, -1, -1):
+            total = (total << (n - 1 - u)) | (self._out[u] >> (u + 1))
         payload = {
             "k": self.k,
             "d": self.d,
             "N": self.N,
             "seed": self.seed,
-            "arcs": base64.b64encode(bytes(bitstring)).decode("ascii"),
+            "arcs": base64.b64encode(total.to_bytes(size, "little")).decode("ascii"),
             "certificate": {
                 "verified": self.certified,
                 "verifier_version": VERIFIER_VERSION,
@@ -184,14 +183,8 @@ class FullTarget:
 def _cyclic_bipartite_target(N: int, offsets: tuple[int, ...], d: int) -> FullTarget:
     """Oriented K_{N,N}: class-1 vertex i points toward class-2 vertex j
     exactly when (j - i) mod N is in ``offsets``."""
-    arcs = []
-    for i in range(N):
-        for j in range(N):
-            if (j - i) % N in offsets:
-                arcs.append((i, N + j))
-            else:
-                arcs.append((N + j, i))
-    return FullTarget(2, d, N, arcs)
+    bits = ((j - i) % N in offsets for i in range(N) for j in range(N))
+    return FullTarget._from_out_masks(2, d, N, _orient_cross_pairs(2, N, bits), None)
 
 
 def cyclic_k44_target(d: int = 2) -> FullTarget:

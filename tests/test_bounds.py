@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -23,14 +24,14 @@ from orichrome.errors import DomainError, InvariantViolation, PreconditionViolat
 
 
 def test_genus_from_edges():
-    assert genus_upper_from_edges(7, 21).bound_value == 15
-    assert genus_upper_from_edges(1, 0).bound_value == 0
+    assert genus_upper_from_edges(7, 21) == 15
+    assert genus_upper_from_edges(1, 0) == 0
     with pytest.raises(DomainError):
         genus_upper_from_edges(0, 0)
 
 
 def test_order_from_min_degree():
-    assert order_upper_from_min_degree(4, 2).bound_value == 12
+    assert order_upper_from_min_degree(4, 2) == 12
     star = OrientedGraph(5, [(0, i) for i in range(1, 5)])
     with pytest.raises(PreconditionViolated):
         order_upper_from_min_degree(4, 2, graph=star)
@@ -68,8 +69,8 @@ def test_w_log_inequality(x):
 
 
 def test_chi_lower_values():
-    assert chi_lower_bound(11).bound_value == pytest.approx(5.5767418396414214)
-    assert chi_lower_bound(100).bound_value == pytest.approx(19.40951835047206)
+    assert chi_lower_bound(11) == pytest.approx(5.5767418396414214)
+    assert chi_lower_bound(100) == pytest.approx(19.40951835047206)
 
 
 def test_chi_lower_domain():
@@ -78,7 +79,7 @@ def test_chi_lower_domain():
 
 
 def test_chi_lower_monotone():
-    vals = [chi_lower_bound(g).bound_value for g in range(11, 400)]
+    vals = [chi_lower_bound(g) for g in range(11, 400)]
     assert all(a < b for a, b in zip(vals, vals[1:]))
 
 
@@ -116,16 +117,16 @@ def test_extremal_is_the_threshold_optimum():
 
 
 def test_chi_upper_at_genus_2():
-    rep = chi_upper_bound(2)
-    assert rep.bound_value == pytest.approx(2**40 * 2 * math.log(2))
-    assert rep.intermediate == 126 * math.ceil(8**10 * math.log(126))
-    assert rep.intermediate <= rep.bound_value
+    headline, construction_size = chi_upper_bound(2)
+    assert headline == pytest.approx(2**40 * 2 * math.log(2))
+    assert construction_size == 126 * math.ceil(8**10 * math.log(126))
+    assert construction_size <= headline
 
 
 def test_chi_upper_dominates_intermediate_everywhere():
     for g in (2, 3, 5, 10, 100, 10**4, 10**6):
-        rep = chi_upper_bound(g)
-        assert rep.intermediate <= rep.bound_value
+        headline, construction_size = chi_upper_bound(g)
+        assert construction_size <= headline
 
 
 def test_chi_upper_domain():
@@ -155,6 +156,18 @@ def test_table_na_below_11():
     row = text.strip().split("\n")[1]
     assert row.split(",")[1] == "NA"
     assert row.split(",")[2] == "NA"
+
+
+@pytest.mark.parametrize(
+    "g_min, g_max, digest",
+    [
+        (2, 500, "7d1809f6870088e6ab098950fbe8ddd86ed2ae46723ec8a7611f8177fe9392ba"),
+        # construction sizes here exceed 2^53, so they print as rounded floats
+        (99990, 100010, "dfb348046ba17864590bc458fb40802db5c62dc865a70d343065901c63e82541"),
+    ],
+)
+def test_table_pinned(g_min, g_max, digest):
+    assert hashlib.sha256(bounds_table(g_min, g_max).encode()).hexdigest() == digest
 
 
 def test_table_domain():

@@ -1,5 +1,7 @@
+import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,9 +9,12 @@ from pathlib import Path
 import pytest
 
 import orichrome
+import orichrome.errors
 from orichrome import (
     OrientedGraph,
+    SimpleGraph,
     cyclic_k44_target,
+    random_orientation,
     random_tournament,
     serialize_edge_list,
     toroidal_grid,
@@ -221,6 +226,31 @@ def test_colour_stored_target_too_small(capsys, tmp_path):
     assert "CapacityExceeded" in err
 
 
+def test_colour_stored_target_too_few_free_classes(capsys, tmp_path):
+    # the 6x6 toroidal triangulation has no low-degree vertex, so its whole
+    # core past the pool is queried by distance-2 colour, and those colours
+    # run past the 4 free classes of a 5-class stored target
+    from orichrome import sample_full
+
+    r = 6
+    edges = []
+    for i in range(r):
+        for j in range(r):
+            v = i * r + j
+            right, down = i * r + (j + 1) % r, (i + 1) % r * r + j
+            edges += [(v, right), (v, down), (v, (i + 1) % r * r + (j + 1) % r)]
+    gf = tmp_path / "torus.og"
+    gf.write_text(serialize_edge_list(random_orientation(SimpleGraph(r * r, edges), 0)))
+    tf = tmp_path / "t.json"
+    tf.write_text(sample_full(5, 2, seed=1).to_json())
+    code, out, err = run(
+        capsys, "colour", str(gf), "--g", "2", "--target-file", str(tf), "--free-classes", "4"
+    )
+    assert code == 2
+    assert out == ""
+    assert "CapacityExceeded" in err
+
+
 def test_colour_empty_graph(capsys, tmp_path):
     f = tmp_path / "empty.og"
     f.write_text("0 0\n")
@@ -349,6 +379,23 @@ def test_usage_error_exit_1(capsys, argv):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ")
+
+
+def test_exit_status_per_error_class_matches_readme():
+    # README's exit-code bullets name the classes that exit 2 and 3; every
+    # other package error exits 1
+    statuses = {
+        name: cls.exit_status
+        for name, cls in inspect.getmembers(orichrome.errors, inspect.isclass)
+        if issubclass(cls, orichrome.errors.OrichromeError)
+    }
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("Exit codes:", 1)[1].split("\n## ", 1)[0]
+    expected = dict.fromkeys(statuses, 1)
+    for status, bullet in re.findall(r"^- `(\d)`(.*?)(?=^- `|\Z)", section, re.M | re.S):
+        for name in re.findall(r"`([A-Z]\w+)`", bullet):
+            expected[name] = int(status)
+    assert statuses == expected
 
 
 def test_help_exit_0(capsys):

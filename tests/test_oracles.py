@@ -111,14 +111,11 @@ def test_witness_on_5_within_11_arcs():
     assert is_oriented_clique(res.witness)
 
 
-def test_heuristic_mode_needs_budget():
-    with pytest.raises(ValueError):
-        min_edge_oriented_clique(7)
-
-
-def test_min_edge_cap():
+@pytest.mark.parametrize("n", [7, 10])
+def test_min_edge_cap(n):
+    # the search is exhaustive only, up to 6 vertices
     with pytest.raises(CapExceeded):
-        min_edge_oriented_clique(10, edge_budget=30)
+        min_edge_oriented_clique(n, edge_budget=30)
 
 
 def test_f_below_n_log2_n():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from itertools import combinations, product
 
@@ -151,6 +152,19 @@ def test_json_round_trip():
     assert t2.to_oriented_graph() == t.to_oriented_graph()
     data = json.loads(t.to_json())
     assert data["certificate"]["verified"]
+
+
+@pytest.mark.parametrize(
+    "make, digest",
+    [
+        (lambda: cyclic_k44_target(1), "c503f95e86cea5f152218e526bb750d304fd6f792bc4d5e6b3b60268ecd5c285"),
+        (lambda: cyclic_k44_target(2), "2737e2a42f799d100a72fc8e764f92626f2242bded48ab29510e04c0912edf89"),
+        (cyclic_k66_target, "2090e02a3fa112c34de886f1fd3cf07a0b3e23bb2b92a17597ae613403f8ef85"),
+    ],
+    ids=["k44-d1", "k44-d2", "k66"],
+)
+def test_bundled_target_json_pinned(make, digest):
+    assert hashlib.sha256(make().to_json().encode()).hexdigest() == digest
 
 
 # -- probability bound and sampling ----------------------------------------------
