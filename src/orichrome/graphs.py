@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Iterator
 
 from .errors import InvariantViolation, ParseError, TooLarge
@@ -230,23 +231,32 @@ def degeneracy_ordering(g) -> VertexOrdering:
     """Min-degree peeling order: position i has minimum degree in the prefix.
 
     Peeling removes a minimum-degree vertex of the remaining graph (ties by
-    lowest index); the removal sequence reversed is the returned order, and
-    the largest degree seen at removal time is the degeneracy.
+    lowest index), taken from a heap of (degree, vertex) entries, the
+    smallest-last worklist of Matula and Beck; the removal sequence reversed
+    is the returned order, and the largest degree seen at removal time is the
+    degeneracy.
     Accepts an OrientedGraph or a SimpleGraph.
     """
     adj = [g.adj_mask(u) for u in range(g.n)]
     n = len(adj)
     alive = (1 << n) - 1
     deg = [adj[u].bit_count() for u in range(n)]
+    # lazy deletion: degrees only fall, so a vertex's newest entry is its
+    # smallest and pops first; every later entry finds the vertex removed
+    heap = [(deg[u], u) for u in range(n)]
+    heapify(heap)
     removal: list[int] = []
     degeneracy = 0
-    for _ in range(n):
-        v = min((u for u in range(n) if alive >> u & 1), key=lambda u: (deg[u], u))
-        degeneracy = max(degeneracy, deg[v])
+    while heap:
+        d, v = heappop(heap)
+        if not alive >> v & 1:
+            continue
+        degeneracy = max(degeneracy, d)
         removal.append(v)
         alive &= ~(1 << v)
         for w in bits(adj[v] & alive):
             deg[w] -= 1
+            heappush(heap, (deg[w], w))
     return VertexOrdering(order=tuple(reversed(removal)), degeneracy=degeneracy)
 
 

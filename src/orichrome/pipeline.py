@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
 from itertools import combinations
 
 from .bounds import surface_parameters
@@ -139,19 +140,64 @@ def reduce_graph(g: OrientedGraph) -> ReductionResult:
     < 12) is removed and vertex peeling restarts.  Each step strictly
     decreases (vertex count, arc count) lexicographically: removing an absent
     vertex or pair raises InvariantViolation.
+
+    Candidates come from two min-heaps of vertex indices, re-checked on pop:
+    the vertex heap holds every alive vertex of degree <= 3, the edge heap
+    every alive vertex of degree 4 or 5 with a neighbour of degree < 12.  A
+    step changes degrees only at the vertices it touches (the removed
+    vertex's neighbours, or both ends of the removed edge), so refreshing
+    those keeps both heaps complete, and each pop picks the vertex the
+    lowest-index scans _find_removable_vertex and _find_removable_edge would.
     """
     wk = _WorkGraph.from_graph(g)
+    deg = [wk.degree(v) for v in range(g.n)]
+    vertex_heap = list(range(g.n))
+    edge_heap = list(range(g.n))
+
+    def touch(xs) -> None:
+        # a vertex whose degree is not 4 or 5 is pushed when a later touch
+        # brings it there, so only current candidates enter the edge heap
+        for x in xs:
+            d = deg[x] = wk.degree(x)
+            if d <= 3:
+                heappush(vertex_heap, x)
+            elif d <= 5:
+                heappush(edge_heap, x)
+            # only a neighbour below 12 makes a degree-4 or -5 vertex eligible
+            if d < 12:
+                for u in bits(wk.adj(x)):
+                    if deg[u] in (4, 5):
+                        heappush(edge_heap, u)
+
+    def pop_vertex() -> int | None:
+        while vertex_heap:
+            v = heappop(vertex_heap)
+            if wk.alive >> v & 1 and deg[v] <= 3:
+                return v
+        return None
+
+    def pop_edge() -> tuple[int, int] | None:
+        while edge_heap:
+            v = heappop(edge_heap)
+            if wk.alive >> v & 1 and deg[v] in (4, 5):
+                for u in bits(wk.adj(v)):
+                    if deg[u] < 12:
+                        return v, u
+        return None
+
     steps: list[ReductionStep] = []
     while True:
-        v = _find_removable_vertex(wk)
+        v = pop_vertex()
         if v is not None:
             incident = wk.incident(v)
+            neighbours = list(bits(wk.adj(v)))
             completion = []
-            for a, b in combinations(bits(wk.adj(v)), 2):
+            for a, b in combinations(neighbours, 2):
                 if not wk.has_edge(a, b):
                     wk.add_arc(a, b)
                     completion.append((a, b))
             wk.remove_vertex(v)
+            touch(neighbours)
             steps.append(
                 ReductionStep(
                     kind="remove-vertex",
@@ -161,13 +207,14 @@ def reduce_graph(g: OrientedGraph) -> ReductionResult:
                 )
             )
         else:
-            pair = _find_removable_edge(wk)
+            pair = pop_edge()
             if pair is None:
                 break
             low, other = pair
             arc = (low, other) if wk.out[low] >> other & 1 else (other, low)
             degrees = (wk.degree(low), wk.degree(other))
             wk.remove_pair(low, other)
+            touch(pair)
             steps.append(
                 ReductionStep(
                     kind="remove-edge",

@@ -142,6 +142,18 @@ def test_degeneracy_prefix_property(seed, n):
     assert sorted(ordering.order) == list(range(n))
 
 
+@given(seeds, st.integers(min_value=0, max_value=40), st.floats(min_value=0.05, max_value=0.9), st.booleans())
+def test_degeneracy_matches_networkx_core_number(seed, n, density, simple):
+    nx = pytest.importorskip("networkx")
+    g = random_oriented_graph(n, seed, density)
+    if simple:
+        g = g.underlying()
+    G = nx.Graph()
+    G.add_nodes_from(range(n))
+    G.add_edges_from((u, v) for u in range(n) for v in g.neighbours(u) if u < v)
+    assert degeneracy_ordering(g).degeneracy == max(nx.core_number(G).values(), default=0)
+
+
 # -- text and JSON round trips -------------------------------------------------
 
 

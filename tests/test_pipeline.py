@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from orichrome import (
     build_restricted,
     colour_surface_graph,
     cyclic_k44_target,
+    degeneracy_ordering,
     discharge_check,
     exact_oriented_chromatic,
     random_orientation,
@@ -31,6 +34,7 @@ from orichrome.errors import (
     PreconditionViolated,
 )
 from orichrome import pipeline
+from orichrome.graphs import VertexOrdering, bits
 
 seeds = st.integers(min_value=0, max_value=2**62)
 
@@ -114,29 +118,124 @@ def test_icosahedron_cascades():
         discharge_check(res.core, 2)  # would raise NotReduced on a bad core
 
 
-def _repeat_first(find):
-    """A finder that keeps returning its first answer, removed or not."""
-    first = []
-
-    def finder(wk):
-        if not first:
-            first.append(find(wk))
-        return first[0]
-
-    return finder
-
-
 @pytest.mark.parametrize("step", ["vertex", "edge"])
-def test_reduction_progress_check_fires(monkeypatch, step):
+def test_reduction_progress_check_fires(step):
+    # repeating the reducer's first step removes an absent vertex or pair
+    g = OrientedGraph(4, [(0, 1), (1, 2), (2, 3)]) if step == "vertex" else random_tournament(5, seed=0)
+    first = reduce_graph(g).steps[0]
+    assert first.kind == f"remove-{step}"
+    wk = pipeline._WorkGraph.from_graph(g)
     if step == "vertex":
-        g = OrientedGraph(4, [(0, 1), (1, 2), (2, 3)])
-        monkeypatch.setattr(pipeline, "_find_removable_vertex", _repeat_first(pipeline._find_removable_vertex))
+        wk.remove_vertex(first.vertex)
+        with pytest.raises(InvariantViolation):
+            wk.remove_vertex(first.vertex)
     else:
-        g = random_tournament(5, seed=0)
-        monkeypatch.setattr(pipeline, "_find_removable_vertex", lambda wk: None)
-        monkeypatch.setattr(pipeline, "_find_removable_edge", _repeat_first(pipeline._find_removable_edge))
-    with pytest.raises(InvariantViolation):
-        reduce_graph(g)
+        wk.remove_pair(first.low_vertex, first.other)
+        with pytest.raises(InvariantViolation):
+            wk.remove_pair(first.other, first.low_vertex)
+
+
+def _reference_reduce(g: OrientedGraph) -> tuple[list, tuple[int, ...]]:
+    """The reducer as one lowest-index scan per step: its steps and core vertices."""
+    wk = pipeline._WorkGraph.from_graph(g)
+    steps = []
+    while True:
+        v = pipeline._find_removable_vertex(wk)
+        if v is not None:
+            incident = wk.incident(v)
+            completion = []
+            for a, b in combinations(bits(wk.adj(v)), 2):
+                if not wk.has_edge(a, b):
+                    wk.add_arc(a, b)
+                    completion.append((a, b))
+            wk.remove_vertex(v)
+            steps.append(
+                pipeline.ReductionStep(
+                    kind="remove-vertex", vertex=v, incident=incident, completion=tuple(completion)
+                )
+            )
+        else:
+            pair = pipeline._find_removable_edge(wk)
+            if pair is None:
+                break
+            low, other = pair
+            arc = (low, other) if wk.out[low] >> other & 1 else (other, low)
+            degrees = (wk.degree(low), wk.degree(other))
+            wk.remove_pair(low, other)
+            steps.append(
+                pipeline.ReductionStep(
+                    kind="remove-edge", arc=arc, low_vertex=low, other=other, degrees=degrees
+                )
+            )
+    return steps, tuple(bits(wk.alive))
+
+
+def _reference_ordering(g) -> VertexOrdering:
+    """Min-degree peeling by a full (degree, index) scan per removal."""
+    adj = [g.adj_mask(u) for u in range(g.n)]
+    alive = (1 << g.n) - 1
+    deg = [row.bit_count() for row in adj]
+    removal = []
+    degeneracy = 0
+    for _ in range(g.n):
+        v = min((u for u in range(g.n) if alive >> u & 1), key=lambda u: (deg[u], u))
+        degeneracy = max(degeneracy, deg[v])
+        removal.append(v)
+        alive &= ~(1 << v)
+        for w in bits(adj[v] & alive):
+            deg[w] -= 1
+    return VertexOrdering(order=tuple(reversed(removal)), degeneracy=degeneracy)
+
+
+def pendants_on_tournament(seed: int, n: int) -> OrientedGraph:
+    """A tournament on 11-14 vertices plus pendant vertices of degree 1, 2, 4 or 5.
+
+    Tournament vertices start near degree 12 and fall below it as the
+    pendants peel, which makes waiting degree-4 and -5 pendants removable.
+    """
+    rnd = random.Random(seed)
+    m = 11 + n % 4
+    arcs = random_tournament(m, seed).arcs()
+    end = m + 2 + n % 9
+    for v in range(m, end):
+        for u in rnd.sample(range(v), rnd.choice((1, 2, 4, 4, 5, 5))):
+            arcs.append((v, u) if rnd.random() < 0.5 else (u, v))
+    return OrientedGraph(end, arcs)
+
+
+# stacked triangulations peel by vertices alone; the other families also
+# take the edge rule
+FAMILIES = {
+    "pendants": pendants_on_tournament,
+    "stacked": lambda seed, n: random_orientation(stacked_triangulation(n, seed), seed),
+    "grid": lambda seed, n: toroidal_grid(3 + n % 7, 3 + n // 7 % 7, seed),
+    "icosahedron": lambda seed, n: icosahedron_orientation(seed),
+    "dense": lambda seed, n: random_oriented_graph(n % 30 + 4, seed, density=0.3 + n % 6 / 10),
+}
+
+
+def _reduce_matches_reference(g: OrientedGraph) -> int:
+    """Assert the worklists take the reference's steps and orders; count edge steps."""
+    res = reduce_graph(g)
+    steps, core_vertices = _reference_reduce(g)
+    assert res.steps == steps
+    assert res.core_vertices == core_vertices
+    for h in (g, g.underlying(), res.core):
+        assert degeneracy_ordering(h) == _reference_ordering(h)
+    return sum(s.kind == "remove-edge" for s in steps)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from(sorted(FAMILIES)), seeds, st.integers(min_value=3, max_value=60))
+def test_worklists_match_reference_scans(family, seed, n):
+    _reduce_matches_reference(FAMILIES[family](seed, n))
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_worklists_match_reference_fixed_sample(family):
+    edge_steps = sum(_reduce_matches_reference(FAMILIES[family](seed, 3 + seed)) for seed in range(100))
+    if family != "stacked":
+        assert edge_steps > 0  # the edge heap was exercised
 
 
 def test_vertex_steps_record_low_degree():
@@ -379,3 +478,30 @@ def test_pipeline_random_triangulations(seed, n, genus):
     assert res.valid
     params = surface_parameters(genus)
     assert all(1 <= c <= params.free_classes for c in res.replay_classes.values())
+
+
+def _torus_triangulation(r: int):
+    """r x r toroidal grid plus one diagonal per square: 6-regular, Euler genus 2."""
+    from orichrome.graphs import SimpleGraph
+
+    edges = []
+    for i in range(r):
+        for j in range(r):
+            v = i * r + j
+            edges += [(v, i * r + (j + 1) % r), (v, (i + 1) % r * r + j), (v, (i + 1) % r * r + (j + 1) % r)]
+    return SimpleGraph(r * r, edges)
+
+
+@pytest.mark.parametrize(
+    "make, steps, core_size",
+    [
+        (lambda: stacked_triangulation(10**4, 0), 10**4, 0),
+        (lambda: _torus_triangulation(100), 0, 10**4),
+    ],
+    ids=["stacked-10000", "torus-100x100"],
+)
+def test_pipeline_at_ten_thousand_vertices(make, steps, core_size):
+    res = colour_surface_graph(random_orientation(make(), 0), 2)
+    assert res.valid
+    assert res.reduction_steps == steps
+    assert res.core_size == core_size
