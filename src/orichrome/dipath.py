@@ -113,7 +113,12 @@ def stratified_two_dipath(g: OrientedGraph, strip_set: list[int], inner: DipathC
     strip = sorted(set(strip_set))
     if any(not 0 <= v < g.n for v in strip):
         raise ValueError("strip set outside vertex range")
-    if not is_valid_two_dipath(_strip_arcs(g, strip), inner.colours):
+    return _combine(_strip_arcs(g, strip), strip, inner)
+
+
+def _combine(stripped: OrientedGraph, strip: list[int], inner: DipathColouring) -> DipathColouring:
+    """stratified_two_dipath on the already stripped graph; ``strip`` sorted."""
+    if not is_valid_two_dipath(stripped, inner.colours):
         raise InvalidInner("inner colouring is not a valid 2-dipath colouring of the stripped graph")
     if inner.colours and max(inner.colours.values()) > inner.palette_size:
         raise InvalidInner("inner colouring uses colours above its own palette")
@@ -157,7 +162,7 @@ def surface_two_dipath(
                 f"inconsistent with Euler genus <= {genus}"
             )
     inner = greedy_two_dipath(stripped, VertexOrdering(ordering.order, max(backs)))
-    result = stratified_two_dipath(g, strip, inner)
+    result = _combine(stripped, sorted(strip), inner)
     if result.palette_size > params.free_classes:
         raise InvariantViolation(f"surface palette {result.palette_size} exceeds 138g-162")
     return result

@@ -219,13 +219,25 @@ def cyclic_k66_target() -> FullTarget:
 
 
 def _points_at(t: FullTarget, c: int, u: int) -> int:
-    """Mask of the members of class c (bit i for the i-th) that point at u."""
-    base = (c - 1) * t.N
-    mask = 0
-    for i in range(t.N):
-        if t._out[base + i] >> u & 1:
-            mask |= 1 << i
-    return mask
+    """Mask of the members of class c (bit i for the i-th) that point at u.
+
+    u lies outside class c, so a member points at u exactly when u does not
+    point at it.
+    """
+    return ~t._out[u] >> (c - 1) * t.N & ((1 << t.N) - 1)
+
+
+def _subset_or_tables(rows: list[int]) -> list[list[int]]:
+    """For each block of 8 consecutive rows, the OR of every subset of the
+    block's rows, indexed by the subset's bits (bit i for the block's i-th
+    row).  Each entry is one smaller entry ORed with one row."""
+    tables = []
+    for b in range(0, len(rows), 8):
+        table = [0]
+        for row in rows[b : b + 8]:
+            table += [x | row for x in table]
+        tables.append(table)
+    return tables
 
 
 def verify_full(t: FullTarget):
@@ -235,6 +247,12 @@ def verify_full(t: FullTarget):
     for a superset realizes the subset.  Returns True (and marks the target
     certified) or a falsy FailureWitness for the lexicographically first
     failing (class, subset) with its first missing sign vector.
+
+    Arity 2, where sampled and bundled targets are certified, is a row-bitset
+    scan, the Four-Russians method on the class's Boolean Gram products:
+    block subset-OR tables over the members' rows give, for each outside u,
+    every v that each sign pair (u, v) is realised on, in two table lookups
+    per block of 8 members instead of one test per pair.
     """
     outside_count = (t.k - 1) * t.N
     arity = min(t.d, outside_count)
@@ -242,29 +260,38 @@ def verify_full(t: FullTarget):
     if work > _DEFAULT_VERIFY_BUDGET:
         raise BudgetExceeded(f"verification needs ~{work} checks, budget {_DEFAULT_VERIFY_BUDGET}")
 
+    n = t.vertex_count
     full = (1 << t.N) - 1
     for c in range(1, t.k + 1):
-        outside = [v for v in range(t.vertex_count) if v // t.N != c - 1]
+        outside = [v for v in range(n) if v // t.N != c - 1]
         plus = [_points_at(t, c, u) for u in outside]
         # sign vectors are scanned with -1 before +1, matching the plain
-        # product((-1, 1), ...) reference order, so witnesses are canonical;
-        # arity 2, where sampled and bundled targets are certified, is
-        # unrolled: the general loop below is an order of magnitude slower
+        # product((-1, 1), ...) reference order, so witnesses are canonical
         if arity == 2:
-            for j1 in range(len(outside)):
-                p1 = plus[j1]
-                m1 = full ^ p1
-                for j2 in range(j1 + 1, len(outside)):
-                    p2 = plus[j2]
-                    m2 = full ^ p2
-                    if not m1 & m2:
-                        return FailureWitness(c, (outside[j1], outside[j2]), (-1, -1))
-                    if not m1 & p2:
-                        return FailureWitness(c, (outside[j1], outside[j2]), (-1, 1))
-                    if not p1 & m2:
-                        return FailureWitness(c, (outside[j1], outside[j2]), (1, -1))
-                    if not p1 & p2:
-                        return FailureWitness(c, (outside[j1], outside[j2]), (1, 1))
+            # member i's row packs R_i, the outside v it points at, below
+            # I_i = outside ^ R_i, those pointing at it.  ORed over the
+            # members with sign + toward u (the bits of plus), the row gives
+            # the v realised with (+,+) low and (+,-) high; over the members
+            # with sign -, (-,+) low and (-,-) high.
+            base = (c - 1) * t.N
+            outside_mask = ((1 << n) - 1) ^ full << base
+            rows = [r | (outside_mask ^ r) << n for r in t._out[base : base + t.N]]
+            tables = _subset_or_tables(rows)
+            blocks = len(tables)
+            for u, p in zip(outside, plus):
+                pos = neg = 0
+                plus_bytes = p.to_bytes(blocks, "little")
+                minus_bytes = (full ^ p).to_bytes(blocks, "little")
+                for table, x, y in zip(tables, plus_bytes, minus_bytes):
+                    pos |= table[x]
+                    neg |= table[y]
+                later = outside_mask >> u + 1 << u + 1
+                missed = later & ~(neg >> n & neg & pos >> n & pos)
+                if missed:
+                    v = (missed & -missed).bit_length() - 1
+                    for cover, signs in ((neg >> n, (-1, -1)), (neg, (-1, 1)), (pos >> n, (1, -1)), (pos, (1, 1))):
+                        if not cover >> v & 1:
+                            return FailureWitness(c, (u, v), signs)
             continue
         for combo in combinations(range(len(outside)), arity):
             for signs in product((-1, 1), repeat=arity):

@@ -171,6 +171,24 @@ def test_surface_detects_impossible_genus():
         surface_two_dipath(k13, 2)
 
 
+def test_surface_strips_once_and_checks_inner(monkeypatch):
+    g = toroidal_grid(4, 4, seed=0)
+    strip_calls = []
+    strip_arcs = dipath_module._strip_arcs
+
+    def counted(*args):
+        strip_calls.append(args)
+        return strip_arcs(*args)
+
+    monkeypatch.setattr(dipath_module, "_strip_arcs", counted)
+    surface_two_dipath(g, 2)
+    assert len(strip_calls) == 1
+    # the inner colouring is still checked on the stripped graph
+    monkeypatch.setattr(dipath_module, "is_valid_two_dipath", lambda *args: False)
+    with pytest.raises(InvalidInner):
+        surface_two_dipath(g, 2)
+
+
 @settings(deadline=None, max_examples=25)
 @given(seeds, st.integers(min_value=3, max_value=25))
 def test_surface_on_triangulations(seed, n):

@@ -26,7 +26,9 @@ from orichrome.errors import (
     InvalidClass,
     InvariantViolation,
 )
+from orichrome import targets
 from orichrome.rng import SplitMix64, derive_seed
+from orichrome.targets import _points_at
 
 seeds = st.integers(min_value=0, max_value=2**62)
 
@@ -40,6 +42,22 @@ def random_target(k: int, d: int, N: int, seed: int) -> FullTarget:
             if a // N != b // N:
                 arcs.append((a, b) if rng.coin() else (b, a))
     return FullTarget(k, d, N, arcs, seed=seed)
+
+
+def witness_key(res):
+    return True if res is True else (res.class_index, res.vertices, res.signs)
+
+
+def biased_target(k: int, d: int, N: int, bias: float, rng: SplitMix64) -> FullTarget:
+    """Each cross pair u < v runs u -> v with probability ``bias``."""
+    cut = int(bias * 2**64)
+    n = k * N
+    arcs = []
+    for a in range(n):
+        for b in range(a + 1, n):
+            if a // N != b // N:
+                arcs.append((a, b) if rng.next_u64() < cut else (b, a))
+    return FullTarget(k, d, N, arcs)
 
 
 def naive_verify(t: FullTarget):
@@ -131,16 +149,67 @@ def test_verify_budget_gate():
 
 
 @settings(deadline=None, max_examples=60)
-@given(seeds, st.integers(min_value=2, max_value=3), st.integers(min_value=1, max_value=3), st.integers(min_value=2, max_value=4))
-def test_verifier_matches_naive_reference(seed, k, d, N):
+@given(
+    seeds,
+    st.integers(min_value=2, max_value=3),
+    st.integers(min_value=1, max_value=3).flatmap(
+        lambda d: st.tuples(st.just(d), st.integers(min_value=2, max_value=12 if d <= 2 else 4))
+    ),
+)
+def test_verifier_matches_naive_reference(seed, k, d_and_N):
+    d, N = d_and_N
     t = random_target(k, d, N, seed)
-    fast = verify_full(t)
-    slow = naive_verify(t)
-    if slow is True:
-        assert fast is True
-    else:
-        assert fast is not True
-        assert (fast.class_index, fast.vertices, fast.signs) == slow
+    assert witness_key(verify_full(t)) == naive_verify(t)
+
+
+def test_arity_2_witnesses_match_naive_on_fixed_sample():
+    # N up to 40 is five blocks of 8 rows, most of them with a partial last
+    # block.  Biased coins fail early, at every sign pair; fair coins, drawn
+    # with N >= 24 and k <= 3 to keep the reference fast on a pass, pass or
+    # fail at classes past the first.
+    rng = SplitMix64(derive_seed(0, 0xB10C))
+    seen = []
+    for i in range(300):
+        if i % 3 == 0:
+            k, N = 2 + rng.randrange(2), 24 + rng.randrange(17)
+        else:
+            k, N = 2 + rng.randrange(5), 2 + rng.randrange(39)
+        t = biased_target(k, 2, N, (0.5, 0.9, 0.97)[i % 3], rng)
+        expected = naive_verify(t)
+        assert witness_key(verify_full(t)) == expected, (k, N, i)
+        seen.append((N, expected))
+    failures = [w for _, w in seen if w is not True]
+    assert len(failures) < len(seen)
+    assert {signs for _, _, signs in failures} == {(-1, -1), (-1, 1), (1, -1), (1, 1)}
+    assert len({c for c, _, _ in failures}) >= 3
+    assert any(N % 8 and w is True for N, w in seen)
+
+
+def test_points_at_matches_member_loop():
+    for seed, (k, N) in enumerate([(2, 3), (3, 8), (4, 9), (5, 17)]):
+        t = random_target(k, 2, N, seed)
+        for c in range(1, k + 1):
+            for u in range(t.vertex_count):
+                if t.class_of(u) == c:
+                    continue
+                base = (c - 1) * N
+                mask = 0
+                for i in range(N):
+                    if t._out[base + i] >> u & 1:
+                        mask |= 1 << i
+                assert _points_at(t, c, u) == mask
+
+
+def test_verify_budget_gate_precedes_the_scan(monkeypatch):
+    # 10 * C(1332, 2) * 4 = 35.5M checks over the 20M budget: refused before
+    # a single column is read, however fast the scan
+    def no_scan(*args):
+        raise AssertionError("verify_full scanned a target over budget")
+
+    monkeypatch.setattr(targets, "_points_at", no_scan)
+    monkeypatch.setattr(targets, "_subset_or_tables", no_scan)
+    with pytest.raises(BudgetExceeded):
+        verify_full(FullTarget._from_out_masks(10, 2, 148, [0] * 1480, None))
 
 
 def test_json_round_trip():
