@@ -10,6 +10,16 @@ from __future__ import annotations
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
+# coin_bits runs _LANES draws at a time, draw i+1 of a batch in bits
+# 128i..128i+127 of one big int (a 128-bit lane holds any 64-bit product).
+# _ONES has 1 in every lane; its square holds i+1 in lane i below lane
+# _LANES, so _STEPS holds (i+1) * _GOLDEN, the state offset of draw i+1.
+_LANES = 256
+_ONES = ((1 << 128 * _LANES) - 1) // ((1 << 128) - 1)
+_STEPS = (_ONES * _ONES & (1 << 128 * _LANES) - 1) * _GOLDEN
+_LOW64 = _ONES * _MASK64
+_LOW_BIT_DIGIT = bytes(48 + (x & 1) for x in range(256))  # byte -> b"0" or b"1"
+
 
 class SplitMix64:
     """splitmix64 generator: 64-bit state, one multiply-shift-xor per draw."""
@@ -28,6 +38,33 @@ class SplitMix64:
 
     def coin(self) -> bool:
         return bool(self.next_u64() & 1)
+
+    def coin_bits(self, count: int) -> int:
+        """``count`` coins as one int: bit i is the coin of draw i+1.
+
+        Equal to ``count`` calls to coin(), the final state included.  Draw
+        i+1 mixes s + (i+1)*golden mod 2^64, s being the state before the
+        call, so the draws do not depend on each other: a batch of them is
+        mixed at once, each in its own 128-bit lane of one big int, and a
+        strided slice of the bytes cuts out each lane's low byte, whose bit
+        0 is the coin.
+        """
+        batches = []
+        state = self.state
+        for _ in range(0, count, _LANES):
+            z = (state * _ONES + _STEPS) & _LOW64
+            z = (z ^ z >> 30) & _LOW64
+            z = z * 0xBF58476D1CE4E5B9 & _LOW64
+            z = (z ^ z >> 27) & _LOW64
+            z *= 0x94D049BB133111EB
+            z ^= z >> 31
+            # big-endian, so the last draw's low byte comes first
+            batches.append(z.to_bytes(16 * _LANES, "big")[15::16])
+            state = (state + _LANES * _GOLDEN) & _MASK64
+        self.state = (self.state + count * _GOLDEN) & _MASK64
+        digits = b"".join(reversed(batches)).translate(_LOW_BIT_DIGIT)
+        # the last batch may run past draw count: drop those coins
+        return int(b"0" + digits, 2) & ((1 << count) - 1)
 
     def randrange(self, n: int) -> int:
         """Uniform integer in [0, n), rejection-sampled to avoid modulo bias."""

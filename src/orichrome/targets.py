@@ -19,8 +19,9 @@ from __future__ import annotations
 import base64
 import json
 import math
+from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import chain, combinations, product
 
 from .errors import (
     ArityExceeded,
@@ -41,6 +42,9 @@ VERIFIER_VERSION = "1"
 _DEFAULT_VERIFY_BUDGET = 20_000_000
 _DEFAULT_MINIMAL_BUDGET = 1 << 20
 _SAMPLE_ATTEMPTS = 32
+# _BIT_DIGITS[t] maps a byte to b"1" when its bit t is set and to b"0"
+# otherwise; masks are rebuilt from such digits by int(digits, 2)
+_BIT_DIGITS = [bytes(48 + (x >> t & 1) for x in range(256)) for t in range(8)]
 
 
 @dataclass
@@ -74,23 +78,36 @@ class FullTarget:
         self.seed = seed
         self.certified = False
         n = k * N
-        out = [0] * n
-        inn = [0] * n
+        if not isinstance(arcs, (list, tuple)):
+            arcs = list(arcs)  # counted before the loop and, if short, walked again
+        pairs = (n * n - k * N * N) // 2
+        # seen[u*n + v] is 1 for the arc u -> v and 2 for v -> u: one byte per
+        # ordered pair, sized only for a list long enough to orient every
+        # cross pair.  A shorter list is refused below, so a dict holds its
+        # few marks instead.
+        seen = bytearray(n * n) if len(arcs) >= pairs > 0 else defaultdict(int)
         for u, v in arcs:
             if not (0 <= u < n and 0 <= v < n):
                 raise InvariantViolation(f"arc ({u},{v}) out of range")
             if u // N == v // N:
                 raise InvariantViolation(f"arc ({u},{v}) inside a class")
-            if out[u] >> v & 1 or out[v] >> u & 1:
+            uv = u * n + v
+            if seen[uv]:
                 raise InvariantViolation(f"pair ({u},{v}) oriented twice")
-            out[u] |= 1 << v
-            inn[v] |= 1 << u
-        self._out = out
-        class_mask = (1 << N) - 1
-        for u in range(n):
-            expected = ((1 << n) - 1) ^ (class_mask << (u // N * N))
-            if (out[u] | inn[u]) != expected:
-                raise InvariantViolation(f"vertex {u} is not complete to the other classes")
+            seen[uv] = 1
+            seen[v * n + u] = 2
+        if len(arcs) < pairs:
+            degree = Counter(chain.from_iterable(arcs))
+            u = next(u for u in range(n) if degree[u] != n - N)
+            raise InvariantViolation(f"vertex {u} is not complete to the other classes")
+        if not pairs:  # one class: no cross pair, and no arc got past the loop
+            self._out = [0] * n
+            return
+        # the arcs are distinct cross pairs, as many as there are, so every
+        # pair is oriented; row u of seen, reversed, is the digits of out[u]
+        # (bit 0 of each byte: 1 for u -> v, 0 for v -> u)
+        digits = _BIT_DIGITS[0]
+        self._out = [int(seen[u * n : (u + 1) * n][::-1].translate(digits), 2) for u in range(n)]
 
     @classmethod
     def _from_out_masks(cls, k: int, d: int, N: int, out: list[int], seed: int | None) -> "FullTarget":
@@ -148,7 +165,12 @@ class FullTarget:
 
     @classmethod
     def from_json(cls, text: str) -> "FullTarget":
-        """Inverse of to_json; malformed text raises ParseError."""
+        """Inverse of to_json; malformed text raises ParseError.
+
+        The arcs decode as one little-endian int cut into to_json's rows.
+        Bits of pairs inside a class, the padding bits of the last byte and
+        any bytes past them are ignored.
+        """
         try:
             obj = json.loads(text)
             k, d, N = obj["k"], obj["d"], obj["N"]
@@ -165,26 +187,50 @@ class FullTarget:
         need = (n * (n - 1) // 2 + 7) // 8
         if len(raw) < need:
             raise ParseError(f"arcs field holds {len(raw)} bytes, a {k}x{N} target needs {need}", 1)
-        out = [0] * n
-        idx = 0
+        total = int.from_bytes(raw[:need], "little")
+        upper = []
         for u in range(n):
-            for v in range(u + 1, n):
-                if u // N != v // N:
-                    if raw[idx >> 3] >> (idx & 7) & 1:
-                        out[u] |= 1 << v
-                    else:
-                        out[v] |= 1 << u
-                idx += 1
-        t = cls._from_out_masks(k, d, N, out, obj.get("seed"))
+            # row u holds v = u+1..n-1; the class of u ends before v = start
+            start = (u // N + 1) * N
+            upper.append((total & ((1 << n - 1 - u) - 1)) >> start - u - 1 << start)
+            total >>= n - 1 - u
+        t = cls._from_out_masks(k, d, N, _with_lower(upper, N), obj.get("seed"))
         t.certified = bool(cert.get("verified")) and cert.get("verifier_version") == VERIFIER_VERSION
         return t
+
+
+def _transpose(rows: list[int]) -> list[int]:
+    """Columns of the square bit matrix with the given rows: bit u of
+    column v is bit v of row u.
+
+    The rows are laid out as bytes; one strided slice takes byte b of every
+    row, and translating it to one bit's digits gives a column per bit.
+    """
+    n = len(rows)
+    width = (n + 7) // 8
+    matrix = b"".join(row.to_bytes(width, "little") for row in rows)
+    columns = []
+    for b in range(width):
+        column_bytes = matrix[b::width][::-1]  # row n-1 first: the high digit
+        columns += [int(column_bytes.translate(digits), 2) for digits in _BIT_DIGITS]
+    return columns[:n]
+
+
+def _with_lower(upper: list[int], N: int) -> list[int]:
+    """Out-masks from their upper halves: ``upper[u]`` holds the v > u of
+    later classes that u points at, and every other cross pair runs the
+    other way, so v points at u < v of an earlier class exactly when
+    upper[u] misses v."""
+    below = _transpose(upper)
+    return [row | below[v] ^ ((1 << v // N * N) - 1) for v, row in enumerate(upper)]
 
 
 def _cyclic_bipartite_target(N: int, offsets: tuple[int, ...], d: int) -> FullTarget:
     """Oriented K_{N,N}: class-1 vertex i points toward class-2 vertex j
     exactly when (j - i) mod N is in ``offsets``."""
-    bits = ((j - i) % N in offsets for i in range(N) for j in range(N))
-    return FullTarget._from_out_masks(2, d, N, _orient_cross_pairs(2, N, bits), None)
+    row = sum(1 << j for j in offsets)  # vertex 0's row; vertex i's is it rotated by i
+    word = sum(((row << i | row >> N - i) & ((1 << N) - 1)) << i * N for i in range(N))
+    return FullTarget._from_out_masks(2, d, N, _orient_cross_pairs(2, N, word), None)
 
 
 def cyclic_k44_target(d: int = 2) -> FullTarget:
@@ -317,23 +363,21 @@ def failure_probability_bound(k: int, d: int, N: int) -> float:
     return float(k) * float(k * N) ** d * (1 << d) * tail
 
 
-def _orient_cross_pairs(k: int, N: int, bits) -> list[int]:
+def _orient_cross_pairs(k: int, N: int, word: int) -> list[int]:
     """Out-masks of a complete k-partite graph with N vertices per class.
 
-    Cross-class pairs u < v are taken in lexicographic order; each one is
-    oriented u -> v when the next value of the iterator ``bits`` is true and
-    v -> u otherwise.
+    Cross-class pairs u < v are taken in lexicographic order; the i-th is
+    oriented u -> v when bit i of ``word`` is set and v -> u otherwise.
+    Row u is the next n - start bits, start being the first vertex of the
+    class after u's.
     """
     n = k * N
-    out = [0] * n
+    upper = []
     for u in range(n):
-        for v in range(u + 1, n):
-            if u // N != v // N:
-                if next(bits):
-                    out[u] |= 1 << v
-                else:
-                    out[v] |= 1 << u
-    return out
+        start = (u // N + 1) * N
+        upper.append((word & ((1 << n - start) - 1)) << start)
+        word >>= n - start
+    return _with_lower(upper, N)
 
 
 def sample_full(k: int, d: int, seed: int = 0) -> FullTarget:
@@ -347,9 +391,10 @@ def sample_full(k: int, d: int, seed: int = 0) -> FullTarget:
     if k < 5 or d < 2:
         raise DomainError("sampling bound proved for k >= 5, d >= 2")
     N = math.ceil(8**d * math.log(k))
+    pairs = k * (k - 1) // 2 * N * N
     for attempt in range(_SAMPLE_ATTEMPTS):
         rng = SplitMix64(derive_seed(seed, 0xF011, attempt))
-        out = _orient_cross_pairs(k, N, iter(rng.coin, None))
+        out = _orient_cross_pairs(k, N, rng.coin_bits(pairs))
         t = FullTarget._from_out_masks(k, d, N, out, derive_seed(seed, 0xF011, attempt))
         if verify_full(t) is True:
             return t
@@ -371,7 +416,7 @@ def minimal_full_N(k: int, d: int, n_cap: int = 6) -> int | None:
         if 1 << pairs > _DEFAULT_MINIMAL_BUDGET:
             raise BudgetExceeded(f"N = {N} needs 2^{pairs} orientations, budget {_DEFAULT_MINIMAL_BUDGET}")
         for code in range(1 << pairs):
-            out = _orient_cross_pairs(k, N, (code >> i & 1 for i in range(pairs)))
+            out = _orient_cross_pairs(k, N, code)
             t = FullTarget._from_out_masks(k, d, N, out, None)
             if verify_full(t) is True:
                 return N
