@@ -7,12 +7,11 @@ colours.  Colours are positive integers.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .bounds import surface_parameters
 from .errors import DegeneracyViolation, InvalidInner, InvariantViolation, PreconditionViolated
-from .graphs import OrientedGraph, VertexOrdering, back_degrees, bits, degeneracy_ordering
+from .graphs import OrientedGraph, VertexOrdering, back_degrees, degeneracy_ordering
 
 
 @dataclass
@@ -28,29 +27,26 @@ class DipathColouring:
 
 
 def is_valid_two_dipath(g: OrientedGraph, colours: dict[int, int]) -> bool:
-    """Independent checker: BFS out to depth two from every vertex.
+    """Independent checker: walks every directed path of length one and two.
 
     Deliberately avoids directed_square so greedy output and square
-    construction are verified against each other.
+    construction are verified against each other.  In an oriented graph a
+    path of length two never returns to its start, so each path's end must
+    differ in colour from its start.
     """
     if set(colours) != set(range(g.n)):
         return False
     if any(c < 1 for c in colours.values()):
         return False
-    for u in range(g.n):
-        dist = {u: 0}
-        queue = deque([u])
-        while queue:
-            x = queue.popleft()
-            if dist[x] == 2:
-                continue
-            for y in g.out_neighbours(x):
-                if y not in dist:
-                    dist[y] = dist[x] + 1
-                    queue.append(y)
-        for w, d in dist.items():
-            if 1 <= d <= 2 and colours[w] == colours[u]:
+    out = [g.out_neighbours(u) for u in range(g.n)]
+    for u, row in enumerate(out):
+        c = colours[u]
+        for x in row:
+            if colours[x] == c:
                 return False
+            for y in out[x]:
+                if colours[y] == c:
+                    return False
     return True
 
 
@@ -69,22 +65,19 @@ def greedy_two_dipath(g: OrientedGraph, ordering: VertexOrdering) -> DipathColou
     """
     if sorted(ordering.order) != list(range(g.n)):
         raise ValueError("ordering is not a permutation of the vertices")
-    adj = [g.adj_mask(u) for u in range(g.n)]
+    adj = [g.neighbours(u) for u in range(g.n)]
     colours: dict[int, int] = {}
-    coloured_mask = 0
     d_eff = 0
     for v in ordering.order:
-        d_eff = max(d_eff, (adj[v] & coloured_mask).bit_count())
-        near = adj[v]
-        for x in bits(adj[v]):
-            near |= adj[x]
-        near &= coloured_mask & ~(1 << v)
-        used = {colours[w] for w in bits(near)}
+        row = adj[v]
+        d_eff = max(d_eff, sum(x in colours for x in row))
+        # v itself is not coloured yet, so it never lands in used
+        used = {colours[w] for x in row for w in adj[x] if w in colours}
+        used.update(colours[x] for x in row if x in colours)
         c = 1
         while c in used:
             c += 1
         colours[v] = c
-        coloured_mask |= 1 << v
     palette = max(colours.values(), default=0)
     bound = two_dipath_palette_bound(d_eff, g.max_degree())
     if g.n and palette > bound:
@@ -93,13 +86,16 @@ def greedy_two_dipath(g: OrientedGraph, ordering: VertexOrdering) -> DipathColou
 
 
 def _strip_arcs(g: OrientedGraph, strip) -> OrientedGraph:
-    """g without the arcs whose ends both lie in ``strip``."""
-    in_strip = 0
-    for v in strip:
-        in_strip |= 1 << v
-    return OrientedGraph._from_masks(
-        [g.out_mask(u) & ~in_strip if in_strip >> u & 1 else g.out_mask(u) for u in range(g.n)]
-    )
+    """g without the arcs whose ends both lie in ``strip``; rows outside it are shared."""
+    in_strip = set(strip)
+
+    def strip_rows(rows):
+        return [
+            tuple(x for x in row if x not in in_strip) if u in in_strip else row
+            for u, row in enumerate(rows)
+        ]
+
+    return OrientedGraph._from_rows(strip_rows(g._out), strip_rows(g._in))
 
 
 def stratified_two_dipath(g: OrientedGraph, strip_set: list[int], inner: DipathColouring) -> DipathColouring:

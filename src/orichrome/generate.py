@@ -44,10 +44,11 @@ def random_tournament(n: int, seed: int = 0) -> OrientedGraph:
 def random_orientation(g: SimpleGraph, seed: int = 0) -> OrientedGraph:
     """Orient each edge of a simple graph by a fair coin."""
     rng = SplitMix64(derive_seed(seed, 0x7032))
-    arcs = []
-    for u, v in g.edges():
-        arcs.append((u, v) if rng.coin() else (v, u))
-    return OrientedGraph(g.n, arcs)
+    edges = g.edges()
+    # one batch of the coins coin() would draw edge by edge; coin i is bit i,
+    # so the binary digits are read from the right
+    coins = format(rng.coin_bits(len(edges)), "b").zfill(len(edges))[::-1]
+    return OrientedGraph(g.n, [(u, v) if c == "1" else (v, u) for (u, v), c in zip(edges, coins)])
 
 
 def toroidal_grid_graph(rows: int, cols: int) -> SimpleGraph:
@@ -120,7 +121,13 @@ def planar_sparse_graph(n: int, seed: int = 0) -> SimpleGraph:
 
 
 def random_oriented_graph(n: int, seed: int = 0, density: float = 0.5) -> OrientedGraph:
-    """Each unordered pair independently: no arc, or an arc by a fair coin."""
+    """Each unordered pair independently: no arc, or an arc by a fair coin.
+
+    ``density`` is the probability of an arc; a value outside [0, 1], NaN
+    included, raises DomainError.
+    """
+    if not 0 <= density <= 1:
+        raise DomainError(f"density must lie in [0, 1], got {density}")
     rng = SplitMix64(derive_seed(seed, 0x7035))
     threshold = int(density * (1 << 53))
     arcs = []

@@ -2,10 +2,13 @@
 
 An oriented graph here is a loopless digraph with at most one arc per
 unordered vertex pair (no anti-parallel pairs).  Vertices are 0..n-1.
-Adjacency is stored as two bitset rows per vertex (out-set and in-set,
-as Python ints), which makes the distance-two mask algebra used by the
-colouring routines cheap.  Graphs are immutable after construction, so
-instances can be shared freely.
+An OrientedGraph stores two sorted neighbour tuples per vertex (out- and
+in-neighbours), so memory and the colouring routines' neighbour walks grow
+with n + m; isolated vertices share the empty tuple.  Bitset rows (Python
+ints) are built from the tuples on demand for the small-graph routines that
+want mask algebra, and SimpleGraph, used for small or dense graphs such as
+directed squares, keeps one bitset row per vertex.  Graphs are immutable
+after construction, so instances can be shared freely.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
+from itertools import compress
 from typing import Iterable, Iterator
 
 from .errors import InvariantViolation, ParseError, TooLarge
@@ -26,6 +30,32 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+_NO_ARCS = frozenset()
+_ONE = "1".__eq__
+_BIT = (1).__lshift__
+
+
+def _mask(row: tuple[int, ...]) -> int:
+    """The bitset of a neighbour row, for the small-graph routines that want one."""
+    return sum(map(_BIT, row))
+
+
+def _transpose(rows: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """In-rows of the out-rows ``rows``, sorted because tails are visited in order.
+
+    A tail's label is one int object, shared by every in-row it enters.
+    """
+    cols: list = [()] * len(rows)
+    for u, row in enumerate(rows):
+        for v in row:
+            col = cols[v]
+            if col:
+                col.append(u)
+            else:
+                cols[v] = [u]
+    return list(map(tuple, cols))
+
+
 class OrientedGraph:
     """Immutable oriented graph on vertices 0..n-1."""
 
@@ -35,70 +65,81 @@ class OrientedGraph:
         if n < 0:
             raise InvariantViolation("vertex count must be non-negative")
         self.n = n
-        out = [0] * n
-        inc = [0] * n
+        # one out-set per vertex with an arc, the rest sharing one empty set;
+        # dicts stand in for sets because storing a key is cheaper than
+        # set.add
+        succ: list = [_NO_ARCS] * n
         for u, v in arcs:
             if not (0 <= u < n and 0 <= v < n):
                 raise InvariantViolation(f"arc ({u},{v}) outside vertex range 0..{n - 1}")
             if u == v:
                 raise InvariantViolation(f"loop at vertex {u}")
-            if out[u] >> v & 1:
+            row = succ[u]
+            if v in row:
                 raise InvariantViolation(f"duplicate arc ({u},{v})")
-            if out[v] >> u & 1:
+            if u in succ[v]:
                 raise InvariantViolation(f"anti-parallel pair between {u} and {v}")
-            out[u] |= 1 << v
-            inc[v] |= 1 << u
-        self._out = out
-        self._in = inc
+            if row:
+                row[v] = None
+            else:
+                succ[u] = {v: None}
+        self._out = [tuple(sorted(row)) if row else () for row in succ]
+        del succ  # free the out-sets before the in-rows are built
+        self._in = _transpose(self._out)
+
+    @classmethod
+    def _from_rows(cls, out: list[tuple[int, ...]], inc: list[tuple[int, ...]]) -> "OrientedGraph":
+        """Trusted constructor from sorted out- and in-rows; skips validation."""
+        g = cls.__new__(cls)
+        g.n = len(out)
+        g._out = out
+        g._in = inc
+        return g
 
     @classmethod
     def _from_masks(cls, out: list[int]) -> "OrientedGraph":
         """Trusted constructor from out-masks; skips invariant validation."""
-        g = cls.__new__(cls)
-        g.n = len(out)
-        g._out = list(out)
-        inc = [0] * g.n
-        for u, row in enumerate(out):
-            for v in bits(row):
-                inc[v] |= 1 << u
-        g._in = inc
-        return g
+        labels = list(range(len(out)))
+        rows = [
+            tuple(compress(labels, map(_ONE, bin(row)[:1:-1]))) if row else () for row in out
+        ]
+        return cls._from_rows(rows, _transpose(rows))
 
     # -- adjacency -------------------------------------------------------
 
     def has_arc(self, u: int, v: int) -> bool:
-        return bool(self._out[u] >> v & 1)
+        return v in self._out[u]
 
     def out_mask(self, u: int) -> int:
-        return self._out[u]
+        return _mask(self._out[u])
 
     def in_mask(self, u: int) -> int:
-        return self._in[u]
+        return _mask(self._in[u])
 
     def adj_mask(self, u: int) -> int:
-        return self._out[u] | self._in[u]
+        return _mask(self._out[u]) | _mask(self._in[u])
 
     def out_neighbours(self, u: int) -> list[int]:
-        return list(bits(self._out[u]))
+        return list(self._out[u])
 
     def neighbours(self, u: int) -> list[int]:
-        return list(bits(self.adj_mask(u)))
+        return sorted(self._out[u] + self._in[u])
 
     def degree(self, u: int) -> int:
-        return self.adj_mask(u).bit_count()
+        return len(self._out[u]) + len(self._in[u])
 
     def max_degree(self) -> int:
-        return max((self.degree(u) for u in range(self.n)), default=0)
+        return max(map(self.degree, range(self.n)), default=0)
 
     def min_degree(self) -> int:
-        return min((self.degree(u) for u in range(self.n)), default=0)
+        return min(map(self.degree, range(self.n)), default=0)
 
     def arcs(self) -> list[tuple[int, int]]:
-        return [(u, v) for u in range(self.n) for v in bits(self._out[u])]
+        return [(u, v) for u, row in enumerate(self._out) for v in row]
 
     @property
     def arc_count(self) -> int:
-        return sum(row.bit_count() for row in self._out)
+        return sum(map(len, self._out))
 
     def underlying(self) -> "SimpleGraph":
         return SimpleGraph._from_masks([self.adj_mask(u) for u in range(self.n)])
@@ -199,11 +240,12 @@ def directed_square(g: OrientedGraph) -> SimpleGraph:
     The edge set is {u,w} such that 1 <= dist(u,w) <= 2 or 1 <= dist(w,u) <= 2,
     with dist measured along arcs.
     """
+    out = [g.out_mask(u) for u in range(g.n)]
     adj = [0] * g.n
     for u in range(g.n):
-        reach = g.out_mask(u)
-        for x in bits(g.out_mask(u)):
-            reach |= g.out_mask(x)
+        reach = out[u]
+        for x in g.out_neighbours(u):
+            reach |= out[x]
         reach &= ~(1 << u)
         adj[u] |= reach
         for w in bits(reach):
@@ -237,43 +279,43 @@ def degeneracy_ordering(g) -> VertexOrdering:
     degeneracy.
     Accepts an OrientedGraph or a SimpleGraph.
     """
-    adj = [g.adj_mask(u) for u in range(g.n)]
-    n = len(adj)
-    alive = (1 << n) - 1
-    deg = [adj[u].bit_count() for u in range(n)]
+    adj = [g.neighbours(u) for u in range(g.n)]
+    alive = [True] * g.n
+    deg = [len(row) for row in adj]
     # lazy deletion: degrees only fall, so a vertex's newest entry is its
     # smallest and pops first; every later entry finds the vertex removed
-    heap = [(deg[u], u) for u in range(n)]
+    heap = [(d, u) for u, d in enumerate(deg)]
     heapify(heap)
     removal: list[int] = []
     degeneracy = 0
     while heap:
         d, v = heappop(heap)
-        if not alive >> v & 1:
+        if not alive[v]:
             continue
         degeneracy = max(degeneracy, d)
         removal.append(v)
-        alive &= ~(1 << v)
-        for w in bits(adj[v] & alive):
-            deg[w] -= 1
-            heappush(heap, (deg[w], w))
+        alive[v] = False
+        for w in adj[v]:
+            if alive[w]:
+                deg[w] -= 1
+                heappush(heap, (deg[w], w))
     return VertexOrdering(order=tuple(reversed(removal)), degeneracy=degeneracy)
 
 
 def back_degrees(g, order: Iterable[int]) -> list[int]:
     """Back-degree of each position: neighbours among earlier order positions."""
-    adj = [g.adj_mask(u) for u in range(g.n)]
-    seen = 0
+    seen = [False] * g.n
     out = []
     for v in order:
-        out.append((adj[v] & seen).bit_count())
-        seen |= 1 << v
+        out.append(sum(seen[u] for u in g.neighbours(v)))
+        seen[v] = True
     return out
 
 
 # -- file formats -----------------------------------------------------------
 
-# checked before allocating: ~100x the largest benchmarked graph, 16 MB of masks
+# checked before allocating: ~100x the largest benchmarked graph; an
+# arc-free graph at the cap holds two 8 MB row lists sharing one empty tuple
 _MAX_FILE_VERTICES = 1_000_000
 
 

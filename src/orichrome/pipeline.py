@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
-from itertools import combinations
+from itertools import chain, combinations, compress
 
 from .bounds import surface_parameters
 from .dipath import DipathColouring, surface_two_dipath
@@ -29,60 +29,65 @@ from .errors import (
     InvariantViolation,
     NotReduced,
 )
-from .graphs import OrientedGraph, bits, degeneracy_ordering
+from .graphs import OrientedGraph, degeneracy_ordering
 from .targets import LazyTarget
 
 
 class _WorkGraph:
-    """Mutable oriented graph over a fixed label space, bitmask-backed."""
+    """Mutable oriented graph over a fixed label space: out- and in-neighbour
+    sets and an alive flag per vertex."""
 
     __slots__ = ("out", "inn", "alive")
 
     @classmethod
     def from_graph(cls, g: OrientedGraph) -> "_WorkGraph":
         wk = cls()
-        wk.out = [g.out_mask(v) for v in range(g.n)]
-        wk.inn = [g.in_mask(v) for v in range(g.n)]
-        wk.alive = (1 << g.n) - 1
+        wk.out = list(map(set, g._out))
+        wk.inn = list(map(set, g._in))
+        wk.alive = [True] * g.n
         return wk
 
-    def adj(self, v: int) -> int:
-        return self.out[v] | self.inn[v]
+    def neighbours(self, v: int) -> list[int]:
+        return sorted(self.out[v] | self.inn[v])
 
     def degree(self, v: int) -> int:
-        return self.adj(v).bit_count()
+        return len(self.out[v]) + len(self.inn[v])
 
     def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj(u) >> v & 1)
+        return v in self.out[u] or v in self.inn[u]
 
     def add_vertex(self, v: int) -> None:
-        self.alive |= 1 << v
+        self.alive[v] = True
 
     def add_arc(self, u: int, v: int) -> None:
-        self.out[u] |= 1 << v
-        self.inn[v] |= 1 << u
+        self.out[u].add(v)
+        self.inn[v].add(u)
 
     def remove_pair(self, u: int, v: int) -> None:
-        if not self.has_edge(u, v):
+        if v in self.out[u]:
+            self.out[u].remove(v)
+            self.inn[v].remove(u)
+        elif v in self.inn[u]:
+            self.inn[u].remove(v)
+            self.out[v].remove(u)
+        else:
             raise InvariantViolation(f"pair ({u},{v}) not present")
-        self.out[u] &= ~(1 << v)
-        self.inn[u] &= ~(1 << v)
-        self.out[v] &= ~(1 << u)
-        self.inn[v] &= ~(1 << u)
 
     def remove_vertex(self, v: int) -> None:
-        if not self.alive >> v & 1:
+        if not self.alive[v]:
             raise InvariantViolation(f"vertex {v} not present")
-        for u in bits(self.adj(v)):
-            self.out[u] &= ~(1 << v)
-            self.inn[u] &= ~(1 << v)
-        self.out[v] = 0
-        self.inn[v] = 0
-        self.alive &= ~(1 << v)
+        for u in self.out[v]:
+            self.inn[u].remove(v)
+        for u in self.inn[v]:
+            self.out[u].remove(v)
+        self.out[v].clear()
+        self.inn[v].clear()
+        self.alive[v] = False
 
     def incident(self, v: int) -> tuple[tuple[int, int], ...]:
         """Arcs at v as (tail, head), by ascending neighbour."""
-        return tuple((v, u) if self.out[v] >> u & 1 else (u, v) for u in bits(self.adj(v)))
+        out = self.out[v]
+        return tuple((v, u) if u in out else (u, v) for u in self.neighbours(v))
 
 
 @dataclass
@@ -115,22 +120,6 @@ class ReductionResult:
     work: _WorkGraph
 
 
-def _find_removable_vertex(wk: _WorkGraph) -> int | None:
-    for v in bits(wk.alive):
-        if wk.degree(v) <= 3:
-            return v
-    return None
-
-
-def _find_removable_edge(wk: _WorkGraph) -> tuple[int, int] | None:
-    for v in bits(wk.alive):
-        if wk.degree(v) in (4, 5):
-            for u in bits(wk.adj(v)):
-                if wk.degree(u) < 12:
-                    return v, u
-    return None
-
-
 def reduce_graph(g: OrientedGraph) -> ReductionResult:
     """Peel removable vertices and edges until the structured core remains.
 
@@ -147,10 +136,11 @@ def reduce_graph(g: OrientedGraph) -> ReductionResult:
     step changes degrees only at the vertices it touches (the removed
     vertex's neighbours, or both ends of the removed edge), so refreshing
     those keeps both heaps complete, and each pop picks the vertex the
-    lowest-index scans _find_removable_vertex and _find_removable_edge would.
+    lowest-index scans of the whole graph would.
     """
     wk = _WorkGraph.from_graph(g)
-    deg = [wk.degree(v) for v in range(g.n)]
+    out, inn, alive = wk.out, wk.inn, wk.alive
+    deg = [g.degree(v) for v in range(g.n)]
     vertex_heap = list(range(g.n))
     edge_heap = list(range(g.n))
 
@@ -165,24 +155,24 @@ def reduce_graph(g: OrientedGraph) -> ReductionResult:
                 heappush(edge_heap, x)
             # only a neighbour below 12 makes a degree-4 or -5 vertex eligible
             if d < 12:
-                for u in bits(wk.adj(x)):
+                for u in chain(out[x], inn[x]):
                     if deg[u] in (4, 5):
                         heappush(edge_heap, u)
 
     def pop_vertex() -> int | None:
         while vertex_heap:
             v = heappop(vertex_heap)
-            if wk.alive >> v & 1 and deg[v] <= 3:
+            if alive[v] and deg[v] <= 3:
                 return v
         return None
 
     def pop_edge() -> tuple[int, int] | None:
         while edge_heap:
             v = heappop(edge_heap)
-            if wk.alive >> v & 1 and deg[v] in (4, 5):
-                for u in bits(wk.adj(v)):
-                    if deg[u] < 12:
-                        return v, u
+            if alive[v] and deg[v] in (4, 5):
+                u = min((u for u in chain(out[v], inn[v]) if deg[u] < 12), default=None)
+                if u is not None:
+                    return v, u
         return None
 
     steps: list[ReductionStep] = []
@@ -190,7 +180,7 @@ def reduce_graph(g: OrientedGraph) -> ReductionResult:
         v = pop_vertex()
         if v is not None:
             incident = wk.incident(v)
-            neighbours = list(bits(wk.adj(v)))
+            neighbours = wk.neighbours(v)
             completion = []
             for a, b in combinations(neighbours, 2):
                 if not wk.has_edge(a, b):
@@ -211,7 +201,7 @@ def reduce_graph(g: OrientedGraph) -> ReductionResult:
             if pair is None:
                 break
             low, other = pair
-            arc = (low, other) if wk.out[low] >> other & 1 else (other, low)
+            arc = (low, other) if other in out[low] else (other, low)
             degrees = (wk.degree(low), wk.degree(other))
             wk.remove_pair(low, other)
             touch(pair)
@@ -225,22 +215,24 @@ def reduce_graph(g: OrientedGraph) -> ReductionResult:
                 )
             )
 
-    core_vertices = tuple(bits(wk.alive))
+    core_vertices = tuple(compress(range(g.n), alive))
     index = {v: i for i, v in enumerate(core_vertices)}
-    arcs = [(index[a], index[b]) for a in core_vertices for b in bits(wk.out[a])]
+    arcs = [(index[a], index[b]) for a in core_vertices for b in out[a]]
     core = OrientedGraph(len(core_vertices), arcs)
     return ReductionResult(core=core, core_vertices=core_vertices, steps=steps, work=wk)
 
 
 def _check_reduced(core: OrientedGraph) -> None:
     """Raise NotReduced when a reduction rule still applies to ``core``."""
-    wk = _WorkGraph.from_graph(core)
-    v = _find_removable_vertex(wk)
-    if v is not None:
-        raise NotReduced(f"vertex {v} of degree {wk.degree(v)} is removable")
-    pair = _find_removable_edge(wk)
-    if pair is not None:
-        raise NotReduced(f"edge {pair} at a degree-{wk.degree(pair[0])} vertex is removable")
+    degree = [core.degree(v) for v in range(core.n)]
+    for v, d in enumerate(degree):
+        if d <= 3:
+            raise NotReduced(f"vertex {v} of degree {d} is removable")
+    for v, d in enumerate(degree):
+        if d in (4, 5):
+            for u in core.neighbours(v):
+                if degree[u] < 12:
+                    raise NotReduced(f"edge {(v, u)} at a degree-{d} vertex is removable")
 
 
 class ChargeLedger:
@@ -300,9 +292,8 @@ def _embed_pool(target, wk: _WorkGraph, vertices) -> dict[int, int]:
     """Map ``vertices`` injectively into the reserved pool, then install the
     ``wk`` arcs among them by ascending tail and head."""
     mapping = dict(zip(vertices, target.reserve_pool(len(vertices))))
-    in_pool = sum(1 << v for v in mapping)
     for a in sorted(mapping):
-        for b in bits(wk.out[a] & in_pool):
+        for b in sorted(wk.out[a].intersection(mapping)):
             target.install_pool_arc(mapping[a], mapping[b])
     return mapping
 
@@ -315,11 +306,12 @@ def _constraints(mapping: dict[int, int], wk: _WorkGraph, v: int) -> dict[int, i
     target never holds both directions of a pair).
     """
     constraints: dict[int, int] = {}
-    for u in bits(wk.adj(v)):
+    out = wk.out[v]
+    for u in wk.neighbours(v):
         image = mapping.get(u)
         if image is None:
             continue
-        sign = 1 if wk.out[v] >> u & 1 else -1
+        sign = 1 if u in out else -1
         if constraints.setdefault(image, sign) != sign:
             raise ConstraintConflict(f"image {image} required with both orientations")
     return constraints

@@ -344,6 +344,21 @@ def test_gen_transitive(capsys):
     assert out == "3 3\n0 1\n0 2\n1 2\n"
 
 
+@pytest.mark.parametrize("density", ["inf", "nan", "2", "-1", "1.5"])
+def test_gen_density_outside_unit_interval(capsys, density):
+    code, out, err = run(capsys, "gen", "random-oriented", "--n", "4", "--density", density)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: DomainError: density must lie in [0, 1]")
+
+
+def test_gen_density_bounds_accepted(capsys):
+    _, out, _ = run(capsys, "gen", "random-oriented", "--n", "4", "--density", "0")
+    assert out == "4 0\n"
+    _, out, _ = run(capsys, "gen", "random-oriented", "--n", "4", "--density", "1")
+    assert out.startswith("4 6\n")
+
+
 # every gen kind, each with a size option it needs left out
 GEN_WITHOUT_SIZE = {
     "complete-tournament": ("complete-tournament",),

@@ -8,6 +8,7 @@ from orichrome import (
     directed_cycle,
     generate,
     planar_sparse_graph,
+    random_orientation,
     random_oriented_graph,
     random_tournament,
     stacked_triangulation,
@@ -16,7 +17,8 @@ from orichrome import (
     transitive_tournament,
 )
 from orichrome.errors import TooLarge
-from orichrome.graphs import degeneracy_ordering
+from orichrome.graphs import OrientedGraph, SimpleGraph, degeneracy_ordering
+from orichrome.rng import SplitMix64, derive_seed
 
 seeds = st.integers(min_value=0, max_value=2**62)
 
@@ -27,6 +29,19 @@ def test_transitive_tournament():
 
 def test_directed_cycle():
     assert directed_cycle(5).arcs() == [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]
+
+
+@given(seeds, st.integers(min_value=3, max_value=40))
+def test_random_orientation_matches_per_edge_coins(seed, n):
+    # the batched coins orient each edge as one coin() per edge in order would
+    g = planar_sparse_graph(n, seed)
+    rng = SplitMix64(derive_seed(seed, 0x7032))
+    arcs = [(u, v) if rng.coin() else (v, u) for u, v in g.edges()]
+    assert random_orientation(g, seed) == OrientedGraph(n, arcs)
+
+
+def test_random_orientation_of_edgeless_graph():
+    assert random_orientation(SimpleGraph(4), 1).arc_count == 0
 
 
 def test_tournament_counts_up_to_iso():

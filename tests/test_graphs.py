@@ -1,5 +1,7 @@
+import tracemalloc
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orichrome import (
@@ -17,6 +19,7 @@ from orichrome import (
     serialize_edge_list,
 )
 from orichrome.errors import InvariantViolation, ParseError, TooLarge
+from orichrome.graphs import bits
 
 seeds = st.integers(min_value=0, max_value=2**62)
 sizes = st.integers(min_value=1, max_value=12)
@@ -51,6 +54,165 @@ def test_degree_counts(path3):
     assert path3.arc_count == 2
     assert path3.max_degree() == 2
     assert path3.min_degree() == 1
+
+
+class _MaskOrientedGraph:
+    """The oriented graph as two bitset rows per vertex: the reference the
+    neighbour-tuple OrientedGraph is pinned against."""
+
+    def __init__(self, n, arcs=()):
+        if n < 0:
+            raise InvariantViolation("vertex count must be non-negative")
+        self.n = n
+        out = [0] * n
+        inc = [0] * n
+        for u, v in arcs:
+            if not (0 <= u < n and 0 <= v < n):
+                raise InvariantViolation(f"arc ({u},{v}) outside vertex range 0..{n - 1}")
+            if u == v:
+                raise InvariantViolation(f"loop at vertex {u}")
+            if out[u] >> v & 1:
+                raise InvariantViolation(f"duplicate arc ({u},{v})")
+            if out[v] >> u & 1:
+                raise InvariantViolation(f"anti-parallel pair between {u} and {v}")
+            out[u] |= 1 << v
+            inc[v] |= 1 << u
+        self._out = out
+        self._in = inc
+
+    def has_arc(self, u, v):
+        return bool(self._out[u] >> v & 1)
+
+    def out_mask(self, u):
+        return self._out[u]
+
+    def in_mask(self, u):
+        return self._in[u]
+
+    def adj_mask(self, u):
+        return self._out[u] | self._in[u]
+
+    def out_neighbours(self, u):
+        return list(bits(self._out[u]))
+
+    def neighbours(self, u):
+        return list(bits(self.adj_mask(u)))
+
+    def degree(self, u):
+        return self.adj_mask(u).bit_count()
+
+    def arcs(self):
+        return [(u, v) for u in range(self.n) for v in bits(self._out[u])]
+
+    @property
+    def arc_count(self):
+        return sum(row.bit_count() for row in self._out)
+
+    def __eq__(self, other):
+        return self.n == other.n and self._out == other._out
+
+
+@st.composite
+def arc_lists(draw, max_n=12):
+    """(n, arcs): each vertex pair absent or oriented either way, in a random order."""
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    states = draw(st.lists(st.sampled_from((0, 1, 2)), min_size=len(pairs), max_size=len(pairs)))
+    arcs = [(u, v) if s == 1 else (v, u) for (u, v), s in zip(pairs, states) if s]
+    return n, draw(st.permutations(arcs))
+
+
+def _assert_same_graph(g, ref):
+    assert g.n == ref.n
+    assert g.arcs() == ref.arcs()
+    assert g.arc_count == ref.arc_count
+    for u in range(g.n):
+        assert g.degree(u) == ref.degree(u)
+        assert g.neighbours(u) == ref.neighbours(u)
+        out = g.out_neighbours(u)
+        assert type(out) is list and out == ref.out_neighbours(u)
+        assert (g.out_mask(u), g.in_mask(u), g.adj_mask(u)) == (
+            ref.out_mask(u),
+            ref.in_mask(u),
+            ref.adj_mask(u),
+        )
+        for v in range(g.n):
+            assert g.has_arc(u, v) == ref.has_arc(u, v)
+
+
+@given(arc_lists(), arc_lists())
+def test_matches_mask_reference(first, second):
+    g, ref = OrientedGraph(*first), _MaskOrientedGraph(*first)
+    _assert_same_graph(g, ref)
+    h = OrientedGraph(*second)
+    assert (g == h) == (ref == _MaskOrientedGraph(*second))
+    # the same arcs in another order build an equal graph with an equal hash
+    n, arcs = first
+    same = OrientedGraph(n, reversed(arcs))
+    assert same == g and hash(same) == hash(g)
+
+
+def _first_message(build, n, arcs):
+    with pytest.raises(InvariantViolation) as info:
+        build(n, arcs)
+    return str(info.value)
+
+
+# each defect is (position, arc) inserted into a valid arc list
+DEFECTS = {
+    "negative-endpoint": [(1, (-1, 2))],
+    "endpoint-equal-to-n": [(2, (3, 6))],
+    "loop": [(0, (4, 4))],
+    "duplicate": [(3, (0, 1))],
+    "anti-parallel": [(3, (1, 0))],
+    "loop-then-duplicate": [(1, (2, 2)), (4, (0, 1))],
+    "duplicate-then-loop": [(1, (0, 1)), (4, (2, 2))],
+    "range-then-anti-parallel": [(1, (0, 7)), (4, (1, 0))],
+    "anti-parallel-then-range": [(1, (1, 0)), (4, (0, 7))],
+}
+
+
+@pytest.mark.parametrize("defects", DEFECTS.values(), ids=list(DEFECTS))
+def test_defect_messages_match_mask_reference(defects):
+    arcs = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]
+    for position, arc in defects:
+        arcs.insert(position, arc)
+    message = _first_message(_MaskOrientedGraph, 6, arcs)
+    assert _first_message(OrientedGraph, 6, arcs) == message
+    assert _first_message(OrientedGraph, 6, iter(arcs)) == message
+
+
+@given(arc_lists(), st.randoms(use_true_random=False))
+def test_random_defect_messages_match_mask_reference(valid, rnd):
+    n, arcs = valid
+    arcs = list(arcs)
+    for _ in range(rnd.randint(1, 3)):
+        u, v = rnd.randint(-1, n), rnd.randint(-1, n)
+        arcs.insert(rnd.randint(0, len(arcs)), (u, v))
+    try:
+        ref = _MaskOrientedGraph(n, arcs)
+    except InvariantViolation as exc:
+        assert _first_message(OrientedGraph, n, arcs) == str(exc)
+    else:
+        _assert_same_graph(OrientedGraph(n, arcs), ref)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: OrientedGraph(10**6, []), lambda: graph_from_json('{"n": 1000000, "arcs": []}')],
+    ids=["constructor", "json"],
+)
+def test_arc_free_graph_at_file_cap_is_small(build):
+    # two 8 MB row lists sharing one empty tuple; bitset rows took two lists
+    # of ints and a set per vertex would take about 216 MB
+    tracemalloc.start()
+    try:
+        g = build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.n == 10**6 and g.arc_count == 0
+    assert peak < 40 * 2**20
 
 
 # -- directed square -----------------------------------------------------------
@@ -101,6 +263,22 @@ def test_consistent_c5_is_clique():
     c5 = OrientedGraph(5, [(i, (i + 1) % 5) for i in range(5)])
     assert directed_square(c5).is_complete()
     assert is_oriented_clique(c5)
+
+
+@settings(deadline=None)  # the first example imports networkx
+@given(arc_lists(max_n=10))
+def test_square_matches_networkx_distances(graph):
+    nx = pytest.importorskip("networkx")
+    n, arcs = graph
+    D = nx.DiGraph()
+    D.add_nodes_from(range(n))
+    D.add_edges_from(arcs)
+    expected = set()
+    for u in range(n):
+        for w, d in nx.single_source_shortest_path_length(D, u, cutoff=2).items():
+            if 1 <= d <= 2:
+                expected.add((min(u, w), max(u, w)))
+    assert set(directed_square(OrientedGraph(n, arcs)).edges()) == expected
 
 
 def test_clique_iff_square_complete():

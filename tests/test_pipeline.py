@@ -135,12 +135,68 @@ def test_reduction_progress_check_fires(step):
             wk.remove_pair(first.other, first.low_vertex)
 
 
+class _MaskWorkGraph:
+    """The reducer's work graph as bitmask rows: the reference's own storage,
+    independent of the library's neighbour sets."""
+
+    def __init__(self, g: OrientedGraph):
+        self.out = [g.out_mask(v) for v in range(g.n)]
+        self.inn = [g.in_mask(v) for v in range(g.n)]
+        self.alive = (1 << g.n) - 1
+
+    def adj(self, v: int) -> int:
+        return self.out[v] | self.inn[v]
+
+    def degree(self, v: int) -> int:
+        return self.adj(v).bit_count()
+
+    def has_edge(self, u: int, v: int) -> bool:
+        return bool(self.adj(u) >> v & 1)
+
+    def add_arc(self, u: int, v: int) -> None:
+        self.out[u] |= 1 << v
+        self.inn[v] |= 1 << u
+
+    def remove_pair(self, u: int, v: int) -> None:
+        assert self.has_edge(u, v)
+        self.out[u] &= ~(1 << v)
+        self.inn[u] &= ~(1 << v)
+        self.out[v] &= ~(1 << u)
+        self.inn[v] &= ~(1 << u)
+
+    def remove_vertex(self, v: int) -> None:
+        assert self.alive >> v & 1
+        for u in bits(self.adj(v)):
+            self.out[u] &= ~(1 << v)
+            self.inn[u] &= ~(1 << v)
+        self.out[v] = 0
+        self.inn[v] = 0
+        self.alive &= ~(1 << v)
+
+    def incident(self, v: int) -> tuple[tuple[int, int], ...]:
+        return tuple((v, u) if self.out[v] >> u & 1 else (u, v) for u in bits(self.adj(v)))
+
+    def removable_vertex(self) -> int | None:
+        for v in bits(self.alive):
+            if self.degree(v) <= 3:
+                return v
+        return None
+
+    def removable_edge(self) -> tuple[int, int] | None:
+        for v in bits(self.alive):
+            if self.degree(v) in (4, 5):
+                for u in bits(self.adj(v)):
+                    if self.degree(u) < 12:
+                        return v, u
+        return None
+
+
 def _reference_reduce(g: OrientedGraph) -> tuple[list, tuple[int, ...]]:
     """The reducer as one lowest-index scan per step: its steps and core vertices."""
-    wk = pipeline._WorkGraph.from_graph(g)
+    wk = _MaskWorkGraph(g)
     steps = []
     while True:
-        v = pipeline._find_removable_vertex(wk)
+        v = wk.removable_vertex()
         if v is not None:
             incident = wk.incident(v)
             completion = []
@@ -155,7 +211,7 @@ def _reference_reduce(g: OrientedGraph) -> tuple[list, tuple[int, ...]]:
                 )
             )
         else:
-            pair = pipeline._find_removable_edge(wk)
+            pair = wk.removable_edge()
             if pair is None:
                 break
             low, other = pair
