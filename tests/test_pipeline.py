@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -12,6 +14,7 @@ from orichrome import (
     build_restricted,
     colour_surface_graph,
     cyclic_k44_target,
+    cyclic_k66_target,
     degeneracy_ordering,
     discharge_check,
     exact_oriented_chromatic,
@@ -19,6 +22,7 @@ from orichrome import (
     random_oriented_graph,
     random_tournament,
     reduce_graph,
+    sample_full,
     stacked_triangulation,
     surface_parameters,
     toroidal_grid,
@@ -561,3 +565,67 @@ def test_pipeline_at_ten_thousand_vertices(make, steps, core_size):
     assert res.valid
     assert res.reduction_steps == steps
     assert res.core_size == core_size
+
+
+def _torus_with_trees(r: int, seed: int) -> OrientedGraph:
+    """A 6-regular r x r torus with planar trees hung off it: the trees peel
+    by vertex steps, the torus stays as the core and replay re-inserts them."""
+    rnd = random.Random(seed)
+    g = random_orientation(_torus_triangulation(r), seed)
+    arcs, n = g.arcs(), g.n
+    for _ in range(r):
+        parent = rnd.randrange(g.n)
+        for _ in range(rnd.randrange(1, 5)):
+            arcs.append((n, parent) if rnd.random() < 0.5 else (parent, n))
+            parent, n = rnd.choice((parent, n)), n + 1
+    return OrientedGraph(n, arcs)
+
+
+def _pinned_record(g: OrientedGraph, target) -> list:
+    try:
+        res = colour_surface_graph(g, 2, target)
+    except Exception as exc:  # the error's type and message are pinned too
+        return [type(exc).__name__, str(exc)]
+    if isinstance(target, LazyTarget):
+        state = [[target.class_of(v) for v in range(target.vertex_count)], target.fixed_arcs()]
+    else:
+        state = sorted(target.extra_arcs)
+    return [
+        sorted(res.mapping.items()),
+        sorted(res.core_classes.items()),
+        sorted(res.replay_classes.items()),
+        sorted(res.psi_colours.items()) if res.psi_colours is not None else None,
+        res.core_ordering,
+        res.pool_vertices,
+        res.debug_checks,
+        res.valid,
+        state,
+    ]
+
+
+def test_colour_runs_pinned():
+    # mapping, classes, psi, ordering, pool, checks, validity and target state
+    # of each run, or its error; on the lazy target the tori's cores reach
+    # past the pool and the replays take both step kinds
+    graphs = (
+        [random_orientation(stacked_triangulation(n, seed), seed) for n, seed in ((4, 0), (30, 1), (90, 2))]
+        + [toroidal_grid(r, c, seed) for r, c, seed in ((3, 3, 0), (4, 5, 1), (6, 6, 2))]
+        + [random_orientation(_torus_triangulation(r), r) for r in (4, 5, 7)]
+        + [_torus_with_trees(r, r) for r in (4, 6)]
+        # these colour into the restricted targets too: a K7 core fits the
+        # sampled target's pool, and cycles ask for two constraints at most
+        + [OrientedGraph(7 + 3, random_tournament(7, 3).arcs() + [(7, 0), (8, 7), (1, 9)])]
+        + [OrientedGraph(3), OrientedGraph(9, [(i, (i + 1) % 9) for i in range(9)])]
+    )
+    params = surface_parameters(2)
+    sampled, k66 = sample_full(5, 2, seed=1), cyclic_k66_target()
+    targets = {
+        "lazy": lambda: LazyTarget(params.free_classes, params.reserved_capacity),
+        "sampled-5-2": lambda: build_restricted(sampled, 4),
+        "k66-1": lambda: build_restricted(k66, 1),
+    }
+    digest = hashlib.sha256()
+    for name, make in targets.items():
+        for g in graphs:
+            digest.update(json.dumps([name, _pinned_record(g, make())]).encode())
+    assert digest.hexdigest() == "9cf7fd716cafc1ba0dc687f9005c224a8fed84eda593ba647da684bfc9d72e33"
