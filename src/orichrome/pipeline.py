@@ -29,21 +29,26 @@ from .errors import (
     InvariantViolation,
     NotReduced,
 )
-from .graphs import OrientedGraph, degeneracy_ordering
+from .graphs import _NO_ARCS, OrientedGraph, degeneracy_ordering
 from .targets import LazyTarget
 
 
 class _WorkGraph:
     """Mutable oriented graph over a fixed label space: out- and in-neighbour
-    sets and an alive flag per vertex."""
+    sets and an alive flag per vertex.
+
+    A vertex without arcs never gains one (completions join neighbours of a
+    removed vertex), so all such vertices share one immutable empty row for
+    both directions.  A vertex with arcs one way may gain them the other way.
+    """
 
     __slots__ = ("out", "inn", "alive")
 
     @classmethod
     def from_graph(cls, g: OrientedGraph) -> "_WorkGraph":
         wk = cls()
-        wk.out = list(map(set, g._out))
-        wk.inn = list(map(set, g._in))
+        wk.out = [set(o) if o or i else _NO_ARCS for o, i in zip(g._out, g._in)]
+        wk.inn = [set(i) if o or i else _NO_ARCS for o, i in zip(g._out, g._in)]
         wk.alive = [True] * g.n
         return wk
 
@@ -80,8 +85,9 @@ class _WorkGraph:
             self.inn[u].remove(v)
         for u in self.inn[v]:
             self.out[u].remove(v)
-        self.out[v].clear()
-        self.inn[v].clear()
+        if self.out[v] or self.inn[v]:  # the shared empty row is immutable
+            self.out[v].clear()
+            self.inn[v].clear()
         self.alive[v] = False
 
     def incident(self, v: int) -> tuple[tuple[int, int], ...]:
@@ -236,10 +242,14 @@ def _check_reduced(core: OrientedGraph) -> None:
 
 
 class ChargeLedger:
-    """Exact per-vertex charges deg(v)-6 with zero-sum local transfers."""
+    """Exact per-vertex charges deg(v)-6 with zero-sum local transfers.
+
+    Charges start as ints; a Fraction enters only with a transfer amount,
+    so every sum stays exact.
+    """
 
     def __init__(self, core: OrientedGraph):
-        self.initial = {v: Fraction(core.degree(v) - 6) for v in range(core.n)}
+        self.initial: dict[int, int | Fraction] = {v: core.degree(v) - 6 for v in range(core.n)}
         self.final = dict(self.initial)
         self.transfers: list[tuple[int, int, Fraction]] = []
 

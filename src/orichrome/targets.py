@@ -35,7 +35,7 @@ from .errors import (
     PreconditionViolated,
     RealizationError,
 )
-from .graphs import OrientedGraph
+from .graphs import OrientedGraph, bits
 from .rng import SplitMix64, derive_seed
 
 VERIFIER_VERSION = "1"
@@ -428,6 +428,8 @@ def minimal_full_N(k: int, d: int, n_cap: int = 6) -> int | None:
 
 def _check_pool_request(in_use: bool, count: int, capacity: int) -> None:
     """The reserve_pool gates every target shares, in their fixed order."""
+    if count < 0:
+        raise DomainError(f"cannot reserve {count} pool vertices")
     if in_use:
         raise PreconditionViolated("reserved pool already carries arcs")
     if count > capacity:
@@ -546,6 +548,11 @@ class LazyTarget:
     same query sequence reproduces every answer.  Queries prefer the earliest
     compatible minted vertex, minting fresh only when no existing class
     vertex can satisfy the constraints.
+
+    Each minted vertex x keeps two bit rows: bit u of its out-row is set when
+    x -> u is fixed, and of its in-row when u -> x is.  Each class keeps a
+    member mask.  Vertices are numbered in mint order, so the lowest member
+    bit no constraint row blocks is the earliest compatible vertex.
     """
 
     def __init__(self, free_classes: int, pool_capacity: int):
@@ -554,8 +561,9 @@ class LazyTarget:
         self.free_classes = free_classes
         self.pool_capacity = pool_capacity
         self._class_of: list[int] = []
-        self._minted: dict[int, list[int]] = {}
-        self._orient: dict[tuple[int, int], int] = {}
+        self._out: list[int] = []
+        self._in: list[int] = []
+        self._members: dict[int, int] = {}
 
     @property
     def vertex_count(self) -> int:
@@ -565,35 +573,30 @@ class LazyTarget:
         return self._class_of[v]
 
     def minted(self, c: int) -> list[int]:
-        return list(self._minted.get(c, ()))
+        return list(bits(self._members.get(c, 0)))
 
     def _mint(self, c: int) -> int:
         v = len(self._class_of)
         self._class_of.append(c)
-        self._minted.setdefault(c, []).append(v)
+        self._out.append(0)
+        self._in.append(0)
+        self._members[c] = self._members.get(c, 0) | 1 << v
         return v
 
     def mint_pool(self) -> int:
-        if len(self._minted.get(0, ())) >= self.pool_capacity:
+        if self._members.get(0, 0).bit_count() >= self.pool_capacity:
             raise CapacityExceeded(f"reserved pool holds only {self.pool_capacity} vertices")
         return self._mint(0)
 
     def reserve_pool(self, count: int) -> list[int]:
         """Mint ``count`` pool vertices; no pool vertex may be minted yet."""
-        _check_pool_request(bool(self._minted.get(0)), count, self.pool_capacity)
+        _check_pool_request(bool(self._members.get(0)), count, self.pool_capacity)
         return [self.mint_pool() for _ in range(count)]
 
-    def _get(self, a: int, b: int) -> int | None:
-        """Memoized orientation as a sign from a's point of view."""
-        key = (a, b) if a < b else (b, a)
-        s = self._orient.get(key)
-        if s is None:
-            return None
-        return s if a < b else -s
-
-    def _set(self, a: int, b: int, sign: int) -> None:
-        key = (a, b) if a < b else (b, a)
-        self._orient[key] = sign if a < b else -sign
+    def _fix(self, a: int, b: int) -> None:
+        """Fix the arc a -> b on both rows."""
+        self._out[a] |= 1 << b
+        self._in[b] |= 1 << a
 
     def orientation(self, a: int, b: int) -> int | None:
         """Orientation between two minted vertices; None while not yet fixed.
@@ -601,13 +604,17 @@ class LazyTarget:
         Pairs inside a free class never carry an arc; pool pairs become arcs
         only via install_pool_arc.
         """
-        if self._class_of[a] == self._class_of[b] != 0:
+        if self._class_of[a] == self._class_of[b] != 0 or a < 0 or b < 0:
             return None
-        return self._get(a, b)
+        if self._out[a] >> b & 1:
+            return 1
+        if self._in[a] >> b & 1:
+            return -1
+        return None
 
     def install_pool_arc(self, a: int, b: int) -> None:
         _check_pool_arc(self, a, b, self.vertex_count)
-        self._set(a, b, 1)
+        self._fix(a, b)
 
     def query(self, class_index: int, constraints: dict[int, int]) -> int:
         """A class vertex oriented per ``constraints`` (vertex -> sign toward it).
@@ -618,34 +625,26 @@ class LazyTarget:
         """
         if not 1 <= class_index <= self.free_classes:
             raise InvalidClass(f"class {class_index} outside 1..{self.free_classes}")
-        for u in constraints:
+        # a member is blocked by u when its pair with u is fixed the other way
+        blocked = 0
+        for u, sign in constraints.items():
             _check_vertex(u, self.vertex_count)
             if self._class_of[u] == class_index:
                 raise ClassCollision(f"constraint vertex {u} lies in class {class_index}")
-        for x in self._minted.get(class_index, ()):
-            ok = True
-            for u, sign in constraints.items():
-                s = self._get(x, u)
-                if s is not None and s != sign:
-                    ok = False
-                    break
-            if ok:
-                for u, sign in constraints.items():
-                    if self._get(x, u) is None:
-                        self._set(x, u, sign)
-                return x
-        x = self._mint(class_index)
+            blocked |= self._out[u] if sign == 1 else self._in[u]
+        free = self._members.get(class_index, 0) & ~blocked
+        x = (free & -free).bit_length() - 1 if free else self._mint(class_index)
         for u, sign in constraints.items():
-            self._set(x, u, sign)
+            if sign == 1:
+                self._fix(x, u)
+            else:
+                self._fix(u, x)
         return x
 
     def fixed_arcs(self) -> list[tuple[int, int]]:
         """All fixed orientations as arcs (tail, head), sorted."""
-        arcs = []
-        for (a, b), s in self._orient.items():
-            arcs.append((a, b) if s == 1 else (b, a))
-        return sorted(arcs)
+        return [(a, b) for a, row in enumerate(self._out) for b in bits(row)]
 
     def to_oriented_graph(self) -> OrientedGraph:
         """The currently-realized finite graph (minted vertices, fixed arcs)."""
-        return OrientedGraph(self.vertex_count, self.fixed_arcs())
+        return OrientedGraph._from_masks(self._out)

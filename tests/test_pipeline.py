@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -355,6 +356,25 @@ def test_degree4_receives_half_from_each_neighbour():
     assert ledger.conservation_ok()
 
 
+def test_degree5_transfers_stay_exact():
+    # two degree-5 vertices on K13, each paid 1/5 by its five neighbours;
+    # vertex 4 pays both, so its charge 14 - 6 - 2/5 is no float
+    arcs = random_tournament(13, 2).arcs() + [(13, i) for i in range(5)] + [(i, 14) for i in range(4, 9)]
+    g = OrientedGraph(15, arcs)
+    ledger, ok = discharge_check(g, 3)
+    assert ok
+    exact = {v: Fraction(g.degree(v) - 6) for v in range(g.n)}
+    for v in (13, 14):
+        for u in g.neighbours(v):
+            exact[u] -= Fraction(1, 5)
+            exact[v] += Fraction(1, 5)
+    assert ledger.final == exact
+    assert ledger.final[4] == Fraction(38, 5)
+    assert all(amount == Fraction(1, 5) for _, _, amount in ledger.transfers)
+    assert len(ledger.transfers) == 10
+    assert ledger.conservation_ok()
+
+
 def test_degree_cap_flags_wrong_genus():
     g = deg4_on_k13(4)
     _, ok = discharge_check(g, 2)
@@ -433,6 +453,41 @@ def test_embed_requires_fresh_pool(make_target):
     embed(random_tournament(2, 1), t)
     with pytest.raises(PreconditionViolated):
         embed(random_tournament(2, 1), t)
+
+
+@pytest.mark.parametrize("make_target", POOLS.values(), ids=list(POOLS))
+def test_reserve_pool_refuses_negative_count(make_target):
+    t = make_target()
+    with pytest.raises(DomainError):
+        t.reserve_pool(-1)
+    assert len(t.reserve_pool(4)) == 4  # the refused call left the pool fresh
+
+
+# -- work graph ---------------------------------------------------------------------
+
+
+def test_arc_free_work_graph_is_small():
+    g = OrientedGraph(10**5, [])
+    tracemalloc.start()
+    try:
+        wk = pipeline._WorkGraph.from_graph(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
+    assert len(wk.out) == len(wk.inn) == 10**5
+
+
+def test_in_only_vertex_gains_completion_arc():
+    # 1 and 2 have only in-arcs; removing 0 completes its neighbourhood by
+    # 1 -> 2, an out-arc of 1 that the rows of 2 and of isolated 3 must not see
+    g = OrientedGraph(4, [(0, 1), (0, 2)])
+    assert reduce_graph(g).steps[0].completion == ((1, 2),)
+    assert colour_surface_graph(g, 2).valid
+    wk = pipeline._WorkGraph.from_graph(g)
+    wk.add_arc(1, 2)
+    assert wk.out == [{1, 2}, {2}, set(), set()]
+    assert wk.inn == [set(), {0}, {0, 1}, set()]
 
 
 # -- constraints ----------------------------------------------------------------------

@@ -488,3 +488,141 @@ def test_lazy_to_oriented_graph_consistent():
     for a, b in g.arcs():
         assert t.orientation(a, b) == 1
     assert g.has_arc(x, p) and g.has_arc(y, x)
+
+
+class _DictLazyTarget:
+    """The lazy target as a dict of orientations keyed by ordered pairs and a
+    list of minted vertices per class, scanned candidate by candidate: the
+    reference the bit-row LazyTarget must agree with, call for call."""
+
+    def __init__(self, free_classes: int, pool_capacity: int):
+        if free_classes < 1 or pool_capacity < 0:
+            raise DomainError("need free_classes >= 1 and pool_capacity >= 0")
+        self.free_classes = free_classes
+        self.pool_capacity = pool_capacity
+        self._class_of: list[int] = []
+        self._minted: dict[int, list[int]] = {}
+        self._orient: dict[tuple[int, int], int] = {}
+
+    @property
+    def vertex_count(self) -> int:
+        return len(self._class_of)
+
+    def class_of(self, v: int) -> int:
+        return self._class_of[v]
+
+    def minted(self, c: int) -> list[int]:
+        return list(self._minted.get(c, ()))
+
+    def _mint(self, c: int) -> int:
+        v = len(self._class_of)
+        self._class_of.append(c)
+        self._minted.setdefault(c, []).append(v)
+        return v
+
+    def mint_pool(self) -> int:
+        if len(self._minted.get(0, ())) >= self.pool_capacity:
+            raise CapacityExceeded(f"reserved pool holds only {self.pool_capacity} vertices")
+        return self._mint(0)
+
+    def reserve_pool(self, count: int) -> list[int]:
+        targets._check_pool_request(bool(self._minted.get(0)), count, self.pool_capacity)
+        return [self.mint_pool() for _ in range(count)]
+
+    def _get(self, a: int, b: int) -> int | None:
+        key = (a, b) if a < b else (b, a)
+        s = self._orient.get(key)
+        if s is None:
+            return None
+        return s if a < b else -s
+
+    def _set(self, a: int, b: int, sign: int) -> None:
+        key = (a, b) if a < b else (b, a)
+        self._orient[key] = sign if a < b else -sign
+
+    def orientation(self, a: int, b: int) -> int | None:
+        if self._class_of[a] == self._class_of[b] != 0:
+            return None
+        return self._get(a, b)
+
+    def install_pool_arc(self, a: int, b: int) -> None:
+        targets._check_pool_arc(self, a, b, self.vertex_count)
+        self._set(a, b, 1)
+
+    def query(self, class_index: int, constraints: dict[int, int]) -> int:
+        if not 1 <= class_index <= self.free_classes:
+            raise InvalidClass(f"class {class_index} outside 1..{self.free_classes}")
+        for u in constraints:
+            targets._check_vertex(u, self.vertex_count)
+            if self._class_of[u] == class_index:
+                raise ClassCollision(f"constraint vertex {u} lies in class {class_index}")
+        for x in self._minted.get(class_index, ()):
+            ok = True
+            for u, sign in constraints.items():
+                s = self._get(x, u)
+                if s is not None and s != sign:
+                    ok = False
+                    break
+            if ok:
+                for u, sign in constraints.items():
+                    if self._get(x, u) is None:
+                        self._set(x, u, sign)
+                return x
+        x = self._mint(class_index)
+        for u, sign in constraints.items():
+            self._set(x, u, sign)
+        return x
+
+    def fixed_arcs(self) -> list[tuple[int, int]]:
+        arcs = []
+        for (a, b), s in self._orient.items():
+            arcs.append((a, b) if s == 1 else (b, a))
+        return sorted(arcs)
+
+
+def _outcome(call, *args):
+    """A call's return value, or its exception's type and message."""
+    try:
+        return call(*args)
+    except Exception as exc:  # every refusal is compared, whatever its type
+        return type(exc), str(exc)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(min_value=1, max_value=3), st.integers(min_value=0, max_value=4), st.data())
+def test_lazy_target_matches_dict_reference(free_classes, pool_capacity, data):
+    new = LazyTarget(free_classes, pool_capacity)
+    old = _DictLazyTarget(free_classes, pool_capacity)
+    signs = st.sampled_from((1, -1))
+    for _ in range(20):
+        V = old.vertex_count
+        vertex = st.integers(min_value=-1, max_value=V)  # both ends one past the range
+        op = data.draw(st.sampled_from(["reserve_pool", "mint_pool", "install_pool_arc"] + ["query"] * 7))
+        if op == "reserve_pool":
+            args = (data.draw(st.integers(min_value=-1, max_value=pool_capacity + 1)),)
+        elif op == "mint_pool":
+            args = ()
+        elif op == "install_pool_arc":
+            args = (data.draw(vertex), data.draw(vertex))
+        else:
+            # mostly a free class and vertices outside it, so that queries get
+            # past the gates and meet fixed pairs; now and then anything
+            odd = data.draw(st.integers(min_value=0, max_value=7)) == 0
+            c = data.draw(st.integers(min_value=0, max_value=free_classes + 1) if odd else st.integers(min_value=1, max_value=free_classes))
+            outside = [v for v in range(V) if old.class_of(v) != c]
+            constraints = data.draw(st.dictionaries(st.sampled_from(outside) if outside else vertex, signs, max_size=6))
+            if odd:
+                constraints[data.draw(vertex)] = data.draw(signs)
+            args = (c, constraints)
+        assert _outcome(getattr(new, op), *args) == _outcome(getattr(old, op), *args)
+        V = old.vertex_count
+        assert new.vertex_count == V
+        assert [new.class_of(v) for v in range(V)] == [old.class_of(v) for v in range(V)]
+        for c in range(-1, free_classes + 2):
+            assert new.minted(c) == old.minted(c)
+        assert new.fixed_arcs() == old.fixed_arcs()
+        g = new.to_oriented_graph()
+        assert (g.n, sorted(g.arcs())) == (V, old.fixed_arcs())
+        for a in range(-V - 1, V + 1):
+            for b in range(-V - 1, V + 1):
+                assert _outcome(new.orientation, a, b) == _outcome(old.orientation, a, b)
