@@ -29,7 +29,7 @@ from .errors import (
     InvariantViolation,
     NotReduced,
 )
-from .graphs import _NO_ARCS, OrientedGraph, degeneracy_ordering
+from .graphs import _NO_ARCS, OrientedGraph, _transpose, degeneracy_ordering
 from .targets import LazyTarget
 
 
@@ -51,15 +51,6 @@ class _WorkGraph:
         wk.inn = [set(i) if o or i else _NO_ARCS for o, i in zip(g._out, g._in)]
         wk.alive = [True] * g.n
         return wk
-
-    def neighbours(self, v: int) -> list[int]:
-        return sorted(self.out[v] | self.inn[v])
-
-    def degree(self, v: int) -> int:
-        return len(self.out[v]) + len(self.inn[v])
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.out[u] or v in self.inn[u]
 
     def add_vertex(self, v: int) -> None:
         self.alive[v] = True
@@ -93,7 +84,7 @@ class _WorkGraph:
     def incident(self, v: int) -> tuple[tuple[int, int], ...]:
         """Arcs at v as (tail, head), by ascending neighbour."""
         out = self.out[v]
-        return tuple((v, u) if u in out else (u, v) for u in self.neighbours(v))
+        return tuple((v, u) if u in out else (u, v) for u in sorted(out | self.inn[v]))
 
 
 @dataclass
@@ -138,31 +129,37 @@ def reduce_graph(g: OrientedGraph) -> ReductionResult:
 
     Candidates come from two min-heaps of vertex indices, re-checked on pop:
     the vertex heap holds every alive vertex of degree <= 3, the edge heap
-    every alive vertex of degree 4 or 5 with a neighbour of degree < 12.  A
-    step changes degrees only at the vertices it touches (the removed
-    vertex's neighbours, or both ends of the removed edge), so refreshing
-    those keeps both heaps complete, and each pop picks the vertex the
-    lowest-index scans of the whole graph would.
+    every alive vertex of degree 4 or 5 with a neighbour of degree < 12, each
+    vertex at most once.  A step changes degrees only at the vertices it
+    touches (the removed vertex's neighbours, or both ends of the removed
+    edge), so refreshing those keeps both heaps complete, and each pop picks
+    the vertex the lowest-index scans of the whole graph would.
+
+    When nothing peels, the core is ``g`` itself.
     """
     wk = _WorkGraph.from_graph(g)
     out, inn, alive = wk.out, wk.inn, wk.alive
     deg = [g.degree(v) for v in range(g.n)]
     vertex_heap = list(range(g.n))
     edge_heap = list(range(g.n))
+    queued = [True] * g.n  # membership of the edge heap
 
     def touch(xs) -> None:
         # a vertex whose degree is not 4 or 5 is pushed when a later touch
         # brings it there, so only current candidates enter the edge heap
         for x in xs:
-            d = deg[x] = wk.degree(x)
+            ox, ix = out[x], inn[x]
+            d = deg[x] = len(ox) + len(ix)
             if d <= 3:
                 heappush(vertex_heap, x)
-            elif d <= 5:
+            elif d <= 5 and not queued[x]:
+                queued[x] = True
                 heappush(edge_heap, x)
             # only a neighbour below 12 makes a degree-4 or -5 vertex eligible
             if d < 12:
-                for u in chain(out[x], inn[x]):
-                    if deg[u] in (4, 5):
+                for u in chain(ox, ix):
+                    if deg[u] in (4, 5) and not queued[u]:
+                        queued[u] = True
                         heappush(edge_heap, u)
 
     def pop_vertex() -> int | None:
@@ -175,6 +172,7 @@ def reduce_graph(g: OrientedGraph) -> ReductionResult:
     def pop_edge() -> tuple[int, int] | None:
         while edge_heap:
             v = heappop(edge_heap)
+            queued[v] = False
             if alive[v] and deg[v] in (4, 5):
                 u = min((u for u in chain(out[v], inn[v]) if deg[u] < 12), default=None)
                 if u is not None:
@@ -185,12 +183,14 @@ def reduce_graph(g: OrientedGraph) -> ReductionResult:
     while True:
         v = pop_vertex()
         if v is not None:
-            incident = wk.incident(v)
-            neighbours = wk.neighbours(v)
+            ov = out[v]
+            neighbours = sorted(ov | inn[v])
+            incident = tuple((v, u) if u in ov else (u, v) for u in neighbours)
             completion = []
             for a, b in combinations(neighbours, 2):
-                if not wk.has_edge(a, b):
-                    wk.add_arc(a, b)
+                if b not in out[a] and b not in inn[a]:
+                    out[a].add(b)
+                    inn[b].add(a)
                     completion.append((a, b))
             wk.remove_vertex(v)
             touch(neighbours)
@@ -208,7 +208,7 @@ def reduce_graph(g: OrientedGraph) -> ReductionResult:
                 break
             low, other = pair
             arc = (low, other) if other in out[low] else (other, low)
-            degrees = (wk.degree(low), wk.degree(other))
+            degrees = (deg[low], deg[other])
             wk.remove_pair(low, other)
             touch(pair)
             steps.append(
@@ -221,10 +221,14 @@ def reduce_graph(g: OrientedGraph) -> ReductionResult:
                 )
             )
 
+    if not steps:
+        return ReductionResult(core=g, core_vertices=tuple(range(g.n)), steps=steps, work=wk)
+    # the work graph's sets hold no loop, duplicate or anti-parallel pair, and
+    # relabelling keeps the order, so sorted rows need no validation
     core_vertices = tuple(compress(range(g.n), alive))
     index = {v: i for i, v in enumerate(core_vertices)}
-    arcs = [(index[a], index[b]) for a in core_vertices for b in out[a]]
-    core = OrientedGraph(len(core_vertices), arcs)
+    rows = [tuple(sorted(map(index.__getitem__, out[a]))) for a in core_vertices]
+    core = OrientedGraph._from_rows(rows, _transpose(rows))
     return ReductionResult(core=core, core_vertices=core_vertices, steps=steps, work=wk)
 
 
@@ -292,8 +296,12 @@ def discharge_check(core: OrientedGraph, genus: int) -> tuple[ChargeLedger, bool
 
 def _valid(g: OrientedGraph, target, mapping: dict[int, int]) -> bool:
     """Every arc of g lands on a target arc; pool images stay injective."""
-    if any(target.orientation(mapping[u], mapping[v]) != 1 for u, v in g.arcs()):
-        return False
+    orientation = target.orientation
+    for u, row in enumerate(g._out):
+        image = mapping[u]
+        for v in row:
+            if orientation(image, mapping[v]) != 1:
+                return False
     pool_images = [x for x in mapping.values() if target.class_of(x) == 0]
     return len(pool_images) == len(set(pool_images))
 
@@ -317,7 +325,7 @@ def _constraints(mapping: dict[int, int], wk: _WorkGraph, v: int) -> dict[int, i
     """
     constraints: dict[int, int] = {}
     out = wk.out[v]
-    for u in wk.neighbours(v):
+    for u in sorted(out | wk.inn[v]):
         image = mapping.get(u)
         if image is None:
             continue
@@ -348,15 +356,14 @@ def _place(target, mapping: dict[int, int], wk: _WorkGraph, v: int, avoid: set[i
     return cls
 
 
-def _assert_realized(target, mapping: dict[int, int], arcs) -> int:
-    checked = 0
+def _assert_realized(target, mapping: dict[int, int], arcs: tuple[tuple[int, int], ...]) -> int:
+    orientation = target.orientation
     for a, b in arcs:
-        if target.orientation(mapping[a], mapping[b]) != 1:
+        if orientation(mapping[a], mapping[b]) != 1:
             raise InvariantViolation(
                 f"replay produced an unrealized arc ({a},{b})"
             )
-        checked += 1
-    return checked
+    return len(arcs)
 
 
 @dataclass
@@ -459,6 +466,7 @@ def colour_surface_graph(g: OrientedGraph, genus: int, target=None) -> PipelineR
     # replay the peeling in reverse on the reducer's final work graph
     replay_classes: dict[int, int] = {}
     debug_checks = 0
+    out, inn = wk.out, wk.inn
     for step in reversed(steps):
         if step.kind == "remove-vertex":
             for a, b in step.completion:
@@ -466,7 +474,8 @@ def colour_surface_graph(g: OrientedGraph, genus: int, target=None) -> PipelineR
             v = step.vertex
             wk.add_vertex(v)
             for a, b in step.incident:
-                wk.add_arc(a, b)
+                out[a].add(b)
+                inn[b].add(a)
             replay_classes[v] = _place(target, mapping, wk, v, set())
             debug_checks += _assert_realized(target, mapping, step.incident)
         else:

@@ -625,20 +625,26 @@ class LazyTarget:
         """
         if not 1 <= class_index <= self.free_classes:
             raise InvalidClass(f"class {class_index} outside 1..{self.free_classes}")
+        class_of, out, inn = self._class_of, self._out, self._in
+        count = len(class_of)
         # a member is blocked by u when its pair with u is fixed the other way
         blocked = 0
         for u, sign in constraints.items():
-            _check_vertex(u, self.vertex_count)
-            if self._class_of[u] == class_index:
+            _check_vertex(u, count)
+            if class_of[u] == class_index:
                 raise ClassCollision(f"constraint vertex {u} lies in class {class_index}")
-            blocked |= self._out[u] if sign == 1 else self._in[u]
+            blocked |= out[u] if sign == 1 else inn[u]
         free = self._members.get(class_index, 0) & ~blocked
         x = (free & -free).bit_length() - 1 if free else self._mint(class_index)
+        # fix each constrained pair on both rows (_mint appends to these same lists)
+        bit = 1 << x
         for u, sign in constraints.items():
             if sign == 1:
-                self._fix(x, u)
+                out[x] |= 1 << u
+                inn[u] |= bit
             else:
-                self._fix(u, x)
+                out[u] |= bit
+                inn[x] |= 1 << u
         return x
 
     def fixed_arcs(self) -> list[tuple[int, int]]:

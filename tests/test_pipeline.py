@@ -111,7 +111,7 @@ def test_already_reduced_untouched():
     k13 = random_tournament(13, seed=2)
     res = reduce_graph(k13)
     assert res.steps == []
-    assert res.core == k13
+    assert res.core is k13  # nothing peeled, so nothing is rebuilt
     assert res.core_vertices == tuple(range(13))
 
 
@@ -196,8 +196,9 @@ class _MaskWorkGraph:
         return None
 
 
-def _reference_reduce(g: OrientedGraph) -> tuple[list, tuple[int, ...]]:
-    """The reducer as one lowest-index scan per step: its steps and core vertices."""
+def _reference_reduce(g: OrientedGraph) -> tuple[list, tuple[int, ...], OrientedGraph]:
+    """The reducer as one lowest-index scan per step: its steps, core vertices
+    and core, the last built by the validating constructor."""
     wk = _MaskWorkGraph(g)
     steps = []
     while True:
@@ -228,7 +229,10 @@ def _reference_reduce(g: OrientedGraph) -> tuple[list, tuple[int, ...]]:
                     kind="remove-edge", arc=arc, low_vertex=low, other=other, degrees=degrees
                 )
             )
-    return steps, tuple(bits(wk.alive))
+    core_vertices = tuple(bits(wk.alive))
+    index = {v: i for i, v in enumerate(core_vertices)}
+    arcs = [(index[a], index[b]) for a in core_vertices for b in bits(wk.out[a])]
+    return steps, core_vertices, OrientedGraph(len(core_vertices), arcs)
 
 
 def _reference_ordering(g) -> VertexOrdering:
@@ -278,9 +282,11 @@ FAMILIES = {
 def _reduce_matches_reference(g: OrientedGraph) -> int:
     """Assert the worklists take the reference's steps and orders; count edge steps."""
     res = reduce_graph(g)
-    steps, core_vertices = _reference_reduce(g)
+    steps, core_vertices, core = _reference_reduce(g)
     assert res.steps == steps
     assert res.core_vertices == core_vertices
+    assert res.core == core
+    assert res.core._in == core._in
     for h in (g, g.underlying(), res.core):
         assert degeneracy_ordering(h) == _reference_ordering(h)
     return sum(s.kind == "remove-edge" for s in steps)
@@ -297,6 +303,16 @@ def test_worklists_match_reference_fixed_sample(family):
     edge_steps = sum(_reduce_matches_reference(FAMILIES[family](seed, 3 + seed)) for seed in range(100))
     if family != "stacked":
         assert edge_steps > 0  # the edge heap was exercised
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: toroidal_grid(20, 20, seed=5), lambda: random_orientation(stacked_triangulation(400, 7), 7)],
+    ids=["grid-20x20", "stacked-400"],
+)
+def test_worklists_match_reference_at_scale(make):
+    # long cascades re-queue the same vertices many times over
+    _reduce_matches_reference(make())
 
 
 def test_vertex_steps_record_low_degree():
@@ -440,6 +456,18 @@ POOLS = {
 
 
 @pytest.mark.parametrize("make_target", POOLS.values(), ids=list(POOLS))
+def test_valid_rejects_reversed_arc_and_shared_pool_image(make_target):
+    g, t = OrientedGraph(2, [(0, 1)]), make_target()
+    mapping = embed(g, t)
+    assert pipeline._valid(g, t, mapping)
+    assert not pipeline._valid(g, t, {0: mapping[1], 1: mapping[0]})
+    # without the arc only injectivity on the pool decides
+    free = t.query(1, {})
+    assert pipeline._valid(OrientedGraph(2), t, {0: free, 1: free})
+    assert not pipeline._valid(OrientedGraph(2), t, {0: mapping[0], 1: mapping[0]})
+
+
+@pytest.mark.parametrize("make_target", POOLS.values(), ids=list(POOLS))
 def test_embed_pigeonhole(make_target):
     g, t = random_tournament(4, 1), make_target()
     assert pipeline._valid(g, t, embed(g, t))
@@ -506,6 +534,19 @@ def test_constraints_read_mapped_neighbours():
 
 
 # -- the full pipeline ----------------------------------------------------------------
+
+
+class _UnfixingTarget(LazyTarget):
+    """Answers every query with a fresh class vertex and fixes no arc."""
+
+    def query(self, class_index: int, constraints: dict[int, int]) -> int:
+        return self._mint(class_index)
+
+
+def test_replay_rejects_unrealized_arc():
+    tree = OrientedGraph(4, [(0, 1), (1, 2), (1, 3)])
+    with pytest.raises(InvariantViolation, match=r"replay produced an unrealized arc"):
+        colour_surface_graph(tree, 2, _UnfixingTarget(4, 12))
 
 
 def test_pipeline_single_arc():
