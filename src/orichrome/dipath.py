@@ -138,9 +138,10 @@ def surface_two_dipath(
     if genus < 2:
         raise PreconditionViolated("surface colouring needs genus >= 2")
     params = surface_parameters(genus)
-    if g.max_degree() > params.core_degree_limit:
+    max_degree = g.max_degree()
+    if max_degree > params.core_degree_limit:
         raise PreconditionViolated(
-            f"max degree {g.max_degree()} exceeds 12*genus-12 = {params.core_degree_limit}"
+            f"max degree {max_degree} exceeds 12*genus-12 = {params.core_degree_limit}"
         )
     if ordering is None:
         ordering = degeneracy_ordering(g)

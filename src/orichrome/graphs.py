@@ -2,21 +2,23 @@
 
 An oriented graph here is a loopless digraph with at most one arc per
 unordered vertex pair (no anti-parallel pairs).  Vertices are 0..n-1.
-An OrientedGraph stores two sorted neighbour tuples per vertex (out- and
-in-neighbours), so memory and the colouring routines' neighbour walks grow
-with n + m; isolated vertices share the empty tuple.  Bitset rows (Python
-ints) are built from the tuples on demand for the small-graph routines that
-want mask algebra, and SimpleGraph, used for small or dense graphs such as
-directed squares, keeps one bitset row per vertex.  Graphs are immutable
-after construction, so instances can be shared freely.
+Both graph classes store sorted neighbour tuples: an OrientedGraph two per
+vertex (out- and in-neighbours), a SimpleGraph one, so memory and neighbour
+walks grow with n + m; isolated vertices share the empty tuple.  Bitset rows
+(Python ints) are built from the tuples on demand for the small-graph
+routines that want mask algebra, and serve as working state inside
+directed_square.  Graphs are immutable after construction, so instances can
+be shared freely.
 """
 
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import compress
+from operator import add
 from typing import Iterable, Iterator
 
 from .errors import InvariantViolation, ParseError, TooLarge
@@ -38,6 +40,12 @@ _BIT = (1).__lshift__
 def _mask(row: tuple[int, ...]) -> int:
     """The bitset of a neighbour row, for the small-graph routines that want one."""
     return sum(map(_BIT, row))
+
+
+def _rows(masks: list[int]) -> list[tuple[int, ...]]:
+    """Sorted neighbour rows of bitset rows; empty rows share ``()``."""
+    labels = list(range(len(masks)))
+    return [tuple(compress(labels, map(_ONE, bin(row)[:1:-1]))) if row else () for row in masks]
 
 
 def _transpose(rows: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
@@ -99,10 +107,7 @@ class OrientedGraph:
     @classmethod
     def _from_masks(cls, out: list[int]) -> "OrientedGraph":
         """Trusted constructor from out-masks; skips invariant validation."""
-        labels = list(range(len(out)))
-        rows = [
-            tuple(compress(labels, map(_ONE, bin(row)[:1:-1]))) if row else () for row in out
-        ]
+        rows = _rows(out)
         return cls._from_rows(rows, _transpose(rows))
 
     # -- adjacency -------------------------------------------------------
@@ -112,12 +117,6 @@ class OrientedGraph:
 
     def out_mask(self, u: int) -> int:
         return _mask(self._out[u])
-
-    def in_mask(self, u: int) -> int:
-        return _mask(self._in[u])
-
-    def adj_mask(self, u: int) -> int:
-        return _mask(self._out[u]) | _mask(self._in[u])
 
     def out_neighbours(self, u: int) -> list[int]:
         return list(self._out[u])
@@ -129,10 +128,10 @@ class OrientedGraph:
         return len(self._out[u]) + len(self._in[u])
 
     def max_degree(self) -> int:
-        return max(map(self.degree, range(self.n)), default=0)
+        return max(map(add, map(len, self._out), map(len, self._in)), default=0)
 
     def min_degree(self) -> int:
-        return min(map(self.degree, range(self.n)), default=0)
+        return min(map(add, map(len, self._out), map(len, self._in)), default=0)
 
     def arcs(self) -> list[tuple[int, int]]:
         return [(u, v) for u, row in enumerate(self._out) for v in row]
@@ -140,9 +139,6 @@ class OrientedGraph:
     @property
     def arc_count(self) -> int:
         return sum(map(len, self._out))
-
-    def underlying(self) -> "SimpleGraph":
-        return SimpleGraph._from_masks([self.adj_mask(u) for u in range(self.n)])
 
     # -- dunder ----------------------------------------------------------
 
@@ -169,53 +165,56 @@ class SimpleGraph:
         if n < 0:
             raise InvariantViolation("vertex count must be non-negative")
         self.n = n
-        adj = [0] * n
+        # a neighbour dict only for each vertex with an edge
+        nbrs = defaultdict(dict)
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise InvariantViolation(f"edge ({u},{v}) outside vertex range 0..{n - 1}")
             if u == v:
                 raise InvariantViolation(f"loop at vertex {u}")
-            if adj[u] >> v & 1:
+            row = nbrs[u]
+            if v in row:
                 raise InvariantViolation(f"duplicate edge ({u},{v})")
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        self._adj = adj
+            row[v] = None
+            nbrs[v][u] = None
+        self._adj = [tuple(sorted(nbrs[u])) if u in nbrs else () for u in range(n)]
 
     @classmethod
-    def _from_masks(cls, adj: list[int]) -> "SimpleGraph":
+    def _from_rows(cls, adj: list[tuple[int, ...]]) -> "SimpleGraph":
+        """Trusted constructor from sorted, symmetric rows; skips validation."""
         g = cls.__new__(cls)
         g.n = len(adj)
-        g._adj = list(adj)
+        g._adj = adj
         return g
 
     def has_edge(self, u: int, v: int) -> bool:
-        return bool(self._adj[u] >> v & 1)
+        return v in self._adj[u]
 
     def adj_mask(self, u: int) -> int:
-        return self._adj[u]
+        return _mask(self._adj[u])
 
     def neighbours(self, u: int) -> list[int]:
-        return list(bits(self._adj[u]))
+        return list(self._adj[u])
 
     def degree(self, u: int) -> int:
-        return self._adj[u].bit_count()
+        return len(self._adj[u])
 
     def max_degree(self) -> int:
-        return max((self.degree(u) for u in range(self.n)), default=0)
+        return max(map(len, self._adj), default=0)
 
     def min_degree(self) -> int:
-        return min((self.degree(u) for u in range(self.n)), default=0)
+        return min(map(len, self._adj), default=0)
 
     def edges(self) -> list[tuple[int, int]]:
-        return [(u, v) for u in range(self.n) for v in bits(self._adj[u]) if u < v]
+        return [(u, v) for u, row in enumerate(self._adj) for v in row if u < v]
 
     @property
     def edge_count(self) -> int:
-        return sum(row.bit_count() for row in self._adj) // 2
+        return sum(map(len, self._adj)) // 2
 
     def is_complete(self) -> bool:
-        full = (1 << self.n) - 1
-        return all(self._adj[u] == full ^ (1 << u) for u in range(self.n))
+        # rows hold no loop or repeat, so n - 1 entries means every other vertex
+        return all(len(row) == self.n - 1 for row in self._adj)
 
     def __eq__(self, other) -> bool:
         return (
@@ -240,17 +239,17 @@ def directed_square(g: OrientedGraph) -> SimpleGraph:
     The edge set is {u,w} such that 1 <= dist(u,w) <= 2 or 1 <= dist(w,u) <= 2,
     with dist measured along arcs.
     """
-    out = [g.out_mask(u) for u in range(g.n)]
+    out = list(map(_mask, g._out))
     adj = [0] * g.n
-    for u in range(g.n):
+    for u, row in enumerate(g._out):
         reach = out[u]
-        for x in g.out_neighbours(u):
+        for x in row:
             reach |= out[x]
         reach &= ~(1 << u)
         adj[u] |= reach
         for w in bits(reach):
             adj[w] |= 1 << u
-    return SimpleGraph._from_masks(adj)
+    return SimpleGraph._from_rows(_rows(adj))
 
 
 def is_oriented_clique(g: OrientedGraph) -> bool:

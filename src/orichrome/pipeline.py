@@ -140,9 +140,10 @@ def reduce_graph(g: OrientedGraph) -> ReductionResult:
     wk = _WorkGraph.from_graph(g)
     out, inn, alive = wk.out, wk.inn, wk.alive
     deg = [g.degree(v) for v in range(g.n)]
-    vertex_heap = list(range(g.n))
-    edge_heap = list(range(g.n))
-    queued = [True] * g.n  # membership of the edge heap
+    # seeded with the vertices whose degree qualifies; ascending lists are heaps
+    vertex_heap = [v for v, d in enumerate(deg) if d <= 3]
+    edge_heap = [v for v, d in enumerate(deg) if d in (4, 5)]
+    queued = [d in (4, 5) for d in deg]  # membership of the edge heap
 
     def touch(xs) -> None:
         # a vertex whose degree is not 4 or 5 is pushed when a later touch

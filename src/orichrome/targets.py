@@ -122,6 +122,7 @@ class FullTarget:
         return self.k * self.N
 
     def class_of(self, v: int) -> int:
+        _check_vertex(v, self.vertex_count)
         return v // self.N + 1
 
     def class_members(self, c: int) -> range:
@@ -131,6 +132,8 @@ class FullTarget:
 
     def orientation(self, a: int, b: int) -> int | None:
         """+1 when the arc runs a -> b, -1 when b -> a, None inside a class."""
+        _check_vertex(a, self.vertex_count)
+        _check_vertex(b, self.vertex_count)
         if a // self.N == b // self.N:
             return None
         if self._out[a] >> b & 1:
@@ -437,8 +440,9 @@ def _check_pool_request(in_use: bool, count: int, capacity: int) -> None:
 
 
 def _check_vertex(u: int, vertex_count: int) -> None:
-    """The gate every target's query and install_pool_arc share: each
-    constraint vertex and pool-arc end names an existing vertex."""
+    """The gate every target's class_of, query and install_pool_arc share:
+    each vertex asked about, constraint vertex and pool-arc end names an
+    existing vertex."""
     if not 0 <= u < vertex_count:
         raise InvalidClass(f"vertex {u} outside 0..{vertex_count - 1}")
 
@@ -517,7 +521,7 @@ class RestrictedTarget:
         mask = full
         for u, sign in constraints.items():
             _check_vertex(u, self.base.vertex_count)
-            if self.base.class_of(u) == class_index:
+            if u // self.base.N + 1 == class_index:
                 raise ClassCollision(f"constraint vertex {u} lies in class {class_index}")
             plus = cache.get(u)
             if plus is None:
@@ -570,6 +574,7 @@ class LazyTarget:
         return len(self._class_of)
 
     def class_of(self, v: int) -> int:
+        _check_vertex(v, len(self._class_of))
         return self._class_of[v]
 
     def minted(self, c: int) -> list[int]:

@@ -17,6 +17,7 @@ from orichrome import (
     random_oriented_graph,
     random_orientation,
     serialize_edge_list,
+    stacked_triangulation,
 )
 from orichrome.errors import InvariantViolation, ParseError, TooLarge
 from orichrome.graphs import bits
@@ -126,16 +127,15 @@ def _assert_same_graph(g, ref):
     assert g.n == ref.n
     assert g.arcs() == ref.arcs()
     assert g.arc_count == ref.arc_count
+    underlying = SimpleGraph(g.n, g.arcs())
     for u in range(g.n):
         assert g.degree(u) == ref.degree(u)
         assert g.neighbours(u) == ref.neighbours(u)
         out = g.out_neighbours(u)
         assert type(out) is list and out == ref.out_neighbours(u)
-        assert (g.out_mask(u), g.in_mask(u), g.adj_mask(u)) == (
-            ref.out_mask(u),
-            ref.in_mask(u),
-            ref.adj_mask(u),
-        )
+        assert g.out_mask(u) == ref.out_mask(u)
+        assert g._in[u] == tuple(bits(ref.in_mask(u)))
+        assert underlying.adj_mask(u) == ref.adj_mask(u)
         for v in range(g.n):
             assert g.has_arc(u, v) == ref.has_arc(u, v)
 
@@ -213,6 +213,131 @@ def test_arc_free_graph_at_file_cap_is_small(build):
         tracemalloc.stop()
     assert g.n == 10**6 and g.arc_count == 0
     assert peak < 40 * 2**20
+
+
+class _MaskSimpleGraph:
+    """The simple graph as one bitset row per vertex: the reference the
+    neighbour-tuple SimpleGraph is pinned against."""
+
+    def __init__(self, n, edges=()):
+        if n < 0:
+            raise InvariantViolation("vertex count must be non-negative")
+        self.n = n
+        adj = [0] * n
+        for u, v in edges:
+            if not (0 <= u < n and 0 <= v < n):
+                raise InvariantViolation(f"edge ({u},{v}) outside vertex range 0..{n - 1}")
+            if u == v:
+                raise InvariantViolation(f"loop at vertex {u}")
+            if adj[u] >> v & 1:
+                raise InvariantViolation(f"duplicate edge ({u},{v})")
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+        self._adj = adj
+
+    def has_edge(self, u, v):
+        return bool(self._adj[u] >> v & 1)
+
+    def adj_mask(self, u):
+        return self._adj[u]
+
+    def neighbours(self, u):
+        return list(bits(self._adj[u]))
+
+    def degree(self, u):
+        return self._adj[u].bit_count()
+
+    def max_degree(self):
+        return max((self.degree(u) for u in range(self.n)), default=0)
+
+    def min_degree(self):
+        return min((self.degree(u) for u in range(self.n)), default=0)
+
+    def edges(self):
+        return [(u, v) for u in range(self.n) for v in bits(self._adj[u]) if u < v]
+
+    @property
+    def edge_count(self):
+        return sum(row.bit_count() for row in self._adj) // 2
+
+    def is_complete(self):
+        full = (1 << self.n) - 1
+        return all(self._adj[u] == full ^ (1 << u) for u in range(self.n))
+
+    def __eq__(self, other):
+        return self.n == other.n and self._adj == other._adj
+
+
+@st.composite
+def edge_lists(draw, max_n=8):
+    """(n, edges): a random edge set, each edge in either direction, in a
+    random order, with up to two bad entries inserted: an endpoint out of
+    range, a loop, a duplicate or a reversed duplicate."""
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges = [(v, u) if draw(st.booleans()) else (u, v) for (u, v), k in zip(pairs, keep) if k]
+    edges = draw(st.permutations(edges))
+    ends = st.integers(min_value=-1, max_value=n)
+    for kind in draw(st.lists(st.sampled_from(("range", "loop", "duplicate", "reversed")), max_size=2)):
+        if kind == "range":
+            bad = (draw(st.sampled_from((-1, n))), draw(ends))
+        elif kind == "loop":
+            bad = (draw(ends),) * 2
+        elif edges:
+            u, v = draw(st.sampled_from(edges))
+            bad = (u, v) if kind == "duplicate" else (v, u)
+        else:
+            continue
+        edges.insert(draw(st.integers(min_value=0, max_value=len(edges))), bad)
+    return n, edges
+
+
+def _built(build, n, edges):
+    """The graph, or the type and message of the first error."""
+    try:
+        return build(n, edges)
+    except InvariantViolation as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200)
+@given(edge_lists(), edge_lists())
+def test_simple_graph_matches_mask_reference(first, second):
+    n, edges = first
+    g, ref = _built(SimpleGraph, n, edges), _built(_MaskSimpleGraph, n, edges)
+    if isinstance(ref, tuple):
+        assert g == ref
+        return
+    assert g.n == ref.n
+    assert g.edges() == ref.edges()
+    assert g.edge_count == ref.edge_count
+    for u in range(n):
+        assert g.neighbours(u) == ref.neighbours(u)
+        assert g.degree(u) == ref.degree(u)
+        assert g.adj_mask(u) == ref.adj_mask(u)
+        for v in range(n):
+            assert g.has_edge(u, v) == ref.has_edge(u, v)
+    assert g.is_complete() == ref.is_complete()
+    assert (g.max_degree(), g.min_degree()) == (ref.max_degree(), ref.min_degree())
+    other, other_ref = _built(SimpleGraph, *second), _built(_MaskSimpleGraph, *second)
+    if not isinstance(other_ref, tuple):
+        assert (g == other) == (ref == other_ref)
+    # the same edges, reversed and in reverse order, build an equal graph with an equal hash
+    same = SimpleGraph(n, [(v, u) for u, v in reversed(edges)])
+    assert same == g and hash(same) == hash(g)
+
+
+def test_generated_graph_memory_is_linear():
+    # neighbour tuples peak at about 16 MiB here; n-bit rows took about 49 MiB
+    tracemalloc.start()
+    try:
+        g = random_orientation(stacked_triangulation(2 * 10**4, 0), 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.n == 2 * 10**4 and g.arc_count == 3 * 2 * 10**4 - 6
+    assert peak < 25 * 2**20
 
 
 # -- directed square -----------------------------------------------------------
@@ -325,7 +450,7 @@ def test_degeneracy_matches_networkx_core_number(seed, n, density, simple):
     nx = pytest.importorskip("networkx")
     g = random_oriented_graph(n, seed, density)
     if simple:
-        g = g.underlying()
+        g = SimpleGraph(n, g.arcs())
     G = nx.Graph()
     G.add_nodes_from(range(n))
     G.add_edges_from((u, v) for u in range(n) for v in g.neighbours(u) if u < v)
@@ -415,4 +540,4 @@ def test_random_orientation_keeps_underlying(seed, n):
 
     base = planar_sparse_graph(n, seed)
     g = random_orientation(base, seed)
-    assert g.underlying() == base
+    assert SimpleGraph(g.n, g.arcs()) == base

@@ -39,14 +39,12 @@ from orichrome.errors import (
     PreconditionViolated,
 )
 from orichrome import pipeline
-from orichrome.graphs import VertexOrdering, bits
+from orichrome.graphs import SimpleGraph, VertexOrdering, bits
 
 seeds = st.integers(min_value=0, max_value=2**62)
 
 
 def icosahedron_orientation(seed: int = 0) -> OrientedGraph:
-    from orichrome.graphs import SimpleGraph
-
     edges = [(0, i) for i in range(1, 6)]
     edges += [(i, i % 5 + 1) for i in range(1, 6)]
     edges += [(11, i) for i in range(6, 11)]
@@ -59,8 +57,6 @@ def icosahedron_orientation(seed: int = 0) -> OrientedGraph:
 
 
 def k12_minus_matching_orientation(seed: int = 0) -> OrientedGraph:
-    from orichrome.graphs import SimpleGraph
-
     edges = [
         (u, v)
         for u in range(12)
@@ -146,7 +142,9 @@ class _MaskWorkGraph:
 
     def __init__(self, g: OrientedGraph):
         self.out = [g.out_mask(v) for v in range(g.n)]
-        self.inn = [g.in_mask(v) for v in range(g.n)]
+        self.inn = [0] * g.n
+        for u, v in g.arcs():
+            self.inn[v] |= 1 << u
         self.alive = (1 << g.n) - 1
 
     def adj(self, v: int) -> int:
@@ -237,7 +235,7 @@ def _reference_reduce(g: OrientedGraph) -> tuple[list, tuple[int, ...], Oriented
 
 def _reference_ordering(g) -> VertexOrdering:
     """Min-degree peeling by a full (degree, index) scan per removal."""
-    adj = [g.adj_mask(u) for u in range(g.n)]
+    adj = [sum(1 << w for w in g.neighbours(u)) for u in range(g.n)]
     alive = (1 << g.n) - 1
     deg = [row.bit_count() for row in adj]
     removal = []
@@ -287,7 +285,7 @@ def _reduce_matches_reference(g: OrientedGraph) -> int:
     assert res.core_vertices == core_vertices
     assert res.core == core
     assert res.core._in == core._in
-    for h in (g, g.underlying(), res.core):
+    for h in (g, SimpleGraph(g.n, g.arcs()), res.core):
         assert degeneracy_ordering(h) == _reference_ordering(h)
     return sum(s.kind == "remove-edge" for s in steps)
 
@@ -313,6 +311,22 @@ def test_worklists_match_reference_fixed_sample(family):
 def test_worklists_match_reference_at_scale(make):
     # long cascades re-queue the same vertices many times over
     _reduce_matches_reference(make())
+
+
+def test_six_regular_torus_takes_no_heap_pop(monkeypatch):
+    # the heaps start with the vertices of degree <= 5 only, and a 6-regular
+    # torus has none
+    real, pops = pipeline.heappop, []
+
+    def counting(heap):
+        pops.append(heap[0])
+        return real(heap)
+
+    monkeypatch.setattr(pipeline, "heappop", counting)
+    g = random_orientation(_torus_triangulation(12), 0)
+    res = reduce_graph(g)
+    assert res.steps == [] and res.core is g
+    assert len(pops) == 0
 
 
 def test_vertex_steps_record_low_degree():
@@ -404,8 +418,6 @@ def test_not_reduced_k4():
 
 def test_not_reduced_low_degree_edge():
     # octahedron orientation: degree-4 vertices with degree-4 neighbours
-    from orichrome.graphs import SimpleGraph
-
     non_edges = ({0, 1}, {2, 3}, {4, 5})
     edges = [
         (u, v) for u in range(6) for v in range(u + 1, 6) if {u, v} not in non_edges
@@ -594,7 +606,7 @@ def test_pipeline_psi_classes_beyond_pool():
     for i in range(17):
         for off in (1, 2, 3):
             arcs.append((i, (i + off) % 17))
-    g = random_orientation(OrientedGraph(17, arcs).underlying(), 6)
+    g = random_orientation(SimpleGraph(17, arcs), 6)
     res = colour_surface_graph(g, 2)
     assert res.valid
     assert res.core_size == 17
@@ -638,8 +650,6 @@ def test_pipeline_random_triangulations(seed, n, genus):
 
 def _torus_triangulation(r: int):
     """r x r toroidal grid plus one diagonal per square: 6-regular, Euler genus 2."""
-    from orichrome.graphs import SimpleGraph
-
     edges = []
     for i in range(r):
         for j in range(r):

@@ -387,6 +387,35 @@ def test_pool_arc_refuses_vertex_outside_target(name, outside):
     assert state(t) == before
 
 
+def _lazy_with_one_vertex():
+    t = LazyTarget(3, 2)
+    t.query(1, {})
+    return t
+
+
+# vertices the targets lack: 12 of a 12-vertex target, and -1, which an
+# unchecked index reads as the last vertex
+OUTSIDE_CALLS = {
+    "full-class_of": (cyclic_k66_target, lambda t: t.class_of(-1), -1, 11),
+    "full-orientation": (cyclic_k66_target, lambda t: t.orientation(-1, 0), -1, 11),
+    "restricted-class_of": (
+        lambda: build_restricted(cyclic_k66_target(), 1), lambda t: t.class_of(12), 12, 11
+    ),
+    "restricted-orientation": (
+        lambda: build_restricted(cyclic_k66_target(), 1), lambda t: t.orientation(-1, 0), -1, 11
+    ),
+    "lazy-class_of": (_lazy_with_one_vertex, lambda t: t.class_of(-1), -1, 0),
+}
+
+
+@pytest.mark.parametrize("name", list(OUTSIDE_CALLS))
+def test_targets_refuse_vertices_they_do_not_have(name):
+    make, call, vertex, last = OUTSIDE_CALLS[name]
+    with pytest.raises(InvalidClass) as info:
+        call(make())
+    assert str(info.value) == f"vertex {vertex} outside 0..{last}"
+
+
 # -- lazy targets -------------------------------------------------------------------
 
 
