@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from orichrome import (
     LazyTarget,
     OrientedGraph,
+    back_degrees,
     build_restricted,
     colour_surface_graph,
     cyclic_k44_target,
@@ -26,6 +27,7 @@ from orichrome import (
     sample_full,
     stacked_triangulation,
     surface_parameters,
+    surface_two_dipath,
     toroidal_grid,
     verify_full,
 )
@@ -38,7 +40,7 @@ from orichrome.errors import (
     NotReduced,
     PreconditionViolated,
 )
-from orichrome import pipeline
+from orichrome import dipath, pipeline
 from orichrome.graphs import SimpleGraph, VertexOrdering, bits
 
 seeds = st.integers(min_value=0, max_value=2**62)
@@ -735,3 +737,21 @@ def test_colour_runs_pinned():
         for g in graphs:
             digest.update(json.dumps([name, _pinned_record(g, make())]).encode())
     assert digest.hexdigest() == "9cf7fd716cafc1ba0dc687f9005c224a8fed84eda593ba647da684bfc9d72e33"
+
+
+def test_core_path_pinned_at_bench_scale():
+    # the ordering, the stripped back-degrees and the 2-dipath colouring of a
+    # 30x30 torus, the smallest core-workload size, with the colours in dict order
+    g = random_orientation(_torus_triangulation(30), 30)
+    ordering = degeneracy_ordering(g)
+    stripped = dipath._strip_arcs(g, ordering.order[: surface_parameters(2).strip_size])
+    psi = surface_two_dipath(g, 2, ordering)
+    record = [
+        ordering.order,
+        ordering.degeneracy,
+        back_degrees(stripped, ordering.order),
+        list(psi.colours.items()),
+        psi.palette_size,
+    ]
+    digest = hashlib.sha256(json.dumps(record).encode()).hexdigest()
+    assert digest == "277e880b0258dfc58188af55ed49e200bb125cd44bf24acc965afa5ae09903d4"
