@@ -8,6 +8,8 @@ colours.  Colours are positive integers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from operator import add
 
 from .bounds import surface_parameters
 from .errors import DegeneracyViolation, InvalidInner, InvariantViolation, PreconditionViolated
@@ -38,7 +40,7 @@ def is_valid_two_dipath(g: OrientedGraph, colours: dict[int, int]) -> bool:
         return False
     if any(c < 1 for c in colours.values()):
         return False
-    out = [g.out_neighbours(u) for u in range(g.n)]
+    out = g._out
     for u, row in enumerate(out):
         c = colours[u]
         for x in row:
@@ -61,27 +63,33 @@ def greedy_two_dipath(g: OrientedGraph, ordering: VertexOrdering) -> DipathColou
     Avoiding already-coloured vertices at *undirected* distance up to two is
     stronger than 2-dipath properness and is what makes the palette bound
     2*d*delta - delta - d^2 + d + 1 hold, with d the maximum back-degree of
-    the ordering and delta the maximum degree.
+    the ordering and delta the maximum degree.  Colours live in a list by
+    vertex, 0 meaning uncoloured, over unsorted out-plus-in rows; the
+    returned dict lists the vertices in ordering order.
     """
     if sorted(ordering.order) != list(range(g.n)):
         raise ValueError("ordering is not a permutation of the vertices")
-    adj = [g.neighbours(u) for u in range(g.n)]
-    colours: dict[int, int] = {}
+    adj = list(map(add, g._out, g._in))
+    colour = [0] * g.n
+    get = colour.__getitem__
     d_eff = 0
     for v in ordering.order:
         row = adj[v]
-        d_eff = max(d_eff, sum(x in colours for x in row))
-        # v itself is not coloured yet, so it never lands in used
-        used = {colours[w] for x in row for w in adj[x] if w in colours}
-        used.update(colours[x] for x in row if x in colours)
+        near = list(map(get, row))
+        d_eff = max(d_eff, len(near) - near.count(0))
+        # v itself is not coloured yet, and c starts above the 0 of the
+        # uncoloured, so neither matters in used
+        used = set(near)
+        used.update(map(get, chain.from_iterable(map(adj.__getitem__, row))))
         c = 1
         while c in used:
             c += 1
-        colours[v] = c
-    palette = max(colours.values(), default=0)
+        colour[v] = c
+    palette = max(colour, default=0)
     bound = two_dipath_palette_bound(d_eff, g.max_degree())
     if g.n and palette > bound:
         raise InvariantViolation(f"palette {palette} exceeded bound {bound}")
+    colours = {v: colour[v] for v in ordering.order}
     return DipathColouring(colours=colours, palette_size=palette)
 
 

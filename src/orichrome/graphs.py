@@ -127,11 +127,15 @@ class OrientedGraph:
     def degree(self, u: int) -> int:
         return len(self._out[u]) + len(self._in[u])
 
+    def degrees(self) -> list[int]:
+        """Degree of every vertex, by vertex: out-row plus in-row length."""
+        return list(map(add, map(len, self._out), map(len, self._in)))
+
     def max_degree(self) -> int:
-        return max(map(add, map(len, self._out), map(len, self._in)), default=0)
+        return max(self.degrees(), default=0)
 
     def min_degree(self) -> int:
-        return min(map(add, map(len, self._out), map(len, self._in)), default=0)
+        return min(self.degrees(), default=0)
 
     def arcs(self) -> list[tuple[int, int]]:
         return [(u, v) for u, row in enumerate(self._out) for v in row]
@@ -186,9 +190,6 @@ class SimpleGraph:
         g.n = len(adj)
         g._adj = adj
         return g
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self._adj[u]
 
     def adj_mask(self, u: int) -> int:
         return _mask(self._adj[u])
@@ -272,32 +273,35 @@ def degeneracy_ordering(g) -> VertexOrdering:
     """Min-degree peeling order: position i has minimum degree in the prefix.
 
     Peeling removes a minimum-degree vertex of the remaining graph (ties by
-    lowest index), taken from a heap of (degree, vertex) entries, the
-    smallest-last worklist of Matula and Beck; the removal sequence reversed
-    is the returned order, and the largest degree seen at removal time is the
+    lowest index), taken from a heap of ``degree * n + vertex`` ints, the
+    smallest-last worklist of Matula and Beck; the ints sort as the
+    (degree, vertex) pairs would.  The removal sequence reversed is the
+    returned order, and the largest degree seen at removal time is the
     degeneracy.
     Accepts an OrientedGraph or a SimpleGraph.
     """
-    adj = [g.neighbours(u) for u in range(g.n)]
-    alive = [True] * g.n
+    n = g.n
+    adj = [g.neighbours(u) for u in range(n)]
+    alive = [True] * n
     deg = [len(row) for row in adj]
     # lazy deletion: degrees only fall, so a vertex's newest entry is its
     # smallest and pops first; every later entry finds the vertex removed
-    heap = [(d, u) for u, d in enumerate(deg)]
+    heap = [d * n + u for u, d in enumerate(deg)]
     heapify(heap)
     removal: list[int] = []
     degeneracy = 0
     while heap:
-        d, v = heappop(heap)
+        d, v = divmod(heappop(heap), n)
         if not alive[v]:
             continue
-        degeneracy = max(degeneracy, d)
+        if d > degeneracy:
+            degeneracy = d
         removal.append(v)
         alive[v] = False
         for w in adj[v]:
             if alive[w]:
                 deg[w] -= 1
-                heappush(heap, (deg[w], w))
+                heappush(heap, deg[w] * n + w)
     return VertexOrdering(order=tuple(reversed(removal)), degeneracy=degeneracy)
 
 
@@ -306,7 +310,7 @@ def back_degrees(g, order: Iterable[int]) -> list[int]:
     seen = [False] * g.n
     out = []
     for v in order:
-        out.append(sum(seen[u] for u in g.neighbours(v)))
+        out.append(sum(map(seen.__getitem__, g.neighbours(v))))
         seen[v] = True
     return out
 

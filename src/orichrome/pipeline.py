@@ -139,7 +139,7 @@ def reduce_graph(g: OrientedGraph) -> ReductionResult:
     """
     wk = _WorkGraph.from_graph(g)
     out, inn, alive = wk.out, wk.inn, wk.alive
-    deg = [g.degree(v) for v in range(g.n)]
+    deg = g.degrees()
     # seeded with the vertices whose degree qualifies; ascending lists are heaps
     vertex_heap = [v for v, d in enumerate(deg) if d <= 3]
     edge_heap = [v for v, d in enumerate(deg) if d in (4, 5)]
@@ -235,7 +235,7 @@ def reduce_graph(g: OrientedGraph) -> ReductionResult:
 
 def _check_reduced(core: OrientedGraph) -> None:
     """Raise NotReduced when a reduction rule still applies to ``core``."""
-    degree = [core.degree(v) for v in range(core.n)]
+    degree = core.degrees()
     for v, d in enumerate(degree):
         if d <= 3:
             raise NotReduced(f"vertex {v} of degree {d} is removable")
@@ -254,7 +254,7 @@ class ChargeLedger:
     """
 
     def __init__(self, core: OrientedGraph):
-        self.initial: dict[int, int | Fraction] = {v: core.degree(v) - 6 for v in range(core.n)}
+        self.initial: dict[int, int | Fraction] = {v: d - 6 for v, d in enumerate(core.degrees())}
         self.final = dict(self.initial)
         self.transfers: list[tuple[int, int, Fraction]] = []
 
@@ -280,8 +280,7 @@ def discharge_check(core: OrientedGraph, genus: int) -> tuple[ChargeLedger, bool
     ledger = ChargeLedger(core)
     half = Fraction(1, 2)
     fifth = Fraction(1, 5)
-    for v in range(core.n):
-        d = core.degree(v)
+    for v, d in enumerate(core.degrees()):
         if d == 4:
             for u in core.neighbours(v):
                 ledger.transfer(u, v, half)

@@ -125,11 +125,6 @@ class FullTarget:
         _check_vertex(v, self.vertex_count)
         return v // self.N + 1
 
-    def class_members(self, c: int) -> range:
-        if not 1 <= c <= self.k:
-            raise InvalidClass(f"class {c} outside 1..{self.k}")
-        return range((c - 1) * self.N, c * self.N)
-
     def orientation(self, a: int, b: int) -> int | None:
         """+1 when the arc runs a -> b, -1 when b -> a, None inside a class."""
         _check_vertex(a, self.vertex_count)

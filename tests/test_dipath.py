@@ -4,7 +4,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from orichrome import (
+    DipathColouring,
     OrientedGraph,
+    VertexOrdering,
     degeneracy_ordering,
     directed_cycle,
     exact_two_dipath,
@@ -88,9 +90,65 @@ def test_greedy_at_least_exact(seed, n):
     assert _greedy(g).palette_size >= exact_two_dipath(g).value
 
 
-def test_greedy_rejects_non_permutation(path3):
-    from orichrome import VertexOrdering
+def _reference_greedy(g, ordering):
+    """greedy_two_dipath as a dict of colours over sorted neighbour lists."""
+    if sorted(ordering.order) != list(range(g.n)):
+        raise ValueError("ordering is not a permutation of the vertices")
+    adj = [g.neighbours(u) for u in range(g.n)]
+    colours = {}
+    d_eff = 0
+    for v in ordering.order:
+        row = adj[v]
+        d_eff = max(d_eff, sum(x in colours for x in row))
+        used = {colours[w] for x in row for w in adj[x] if w in colours}
+        used.update(colours[x] for x in row if x in colours)
+        c = 1
+        while c in used:
+            c += 1
+        colours[v] = c
+    palette = max(colours.values(), default=0)
+    bound = dipath_module.two_dipath_palette_bound(d_eff, g.max_degree())
+    if g.n and palette > bound:
+        raise InvariantViolation(f"palette {palette} exceeded bound {bound}")
+    return DipathColouring(colours=colours, palette_size=palette)
 
+
+def _greedy_outcome(colour, g, ordering):
+    """Colours in dict order and the palette, or the type and message of the error."""
+    try:
+        res = colour(g, ordering)
+    except (InvariantViolation, ValueError) as exc:
+        return type(exc), str(exc)
+    return list(res.colours.items()), res.palette_size
+
+
+@settings(max_examples=200)
+@given(
+    seeds,
+    st.integers(min_value=0, max_value=40),
+    st.floats(min_value=0.0, max_value=0.8),
+    st.sampled_from(("degeneracy", "shuffled", "short", "repeat")),
+    st.integers(min_value=0, max_value=3),
+    st.randoms(use_true_random=False),
+)
+def test_greedy_matches_dict_reference(seed, n, density, kind, cut, rnd):
+    g = random_oriented_graph(n, seed, density)
+    order = list(degeneracy_ordering(g).order)
+    if kind != "degeneracy":
+        rnd.shuffle(order)
+    if kind == "short" and order:
+        order.pop()
+    elif kind == "repeat" and n > 1:
+        order[0] = order[1]
+    ordering = VertexOrdering(tuple(order), 0)
+    bound = dipath_module.two_dipath_palette_bound
+    with pytest.MonkeyPatch.context() as mp:
+        # a bound lowered by ``cut`` (none at 0) makes some runs raise
+        mp.setattr(dipath_module, "two_dipath_palette_bound", lambda d, delta: bound(d, delta) - cut)
+        assert _greedy_outcome(greedy_two_dipath, g, ordering) == _greedy_outcome(_reference_greedy, g, ordering)
+
+
+def test_greedy_rejects_non_permutation(path3):
     with pytest.raises(ValueError):
         greedy_two_dipath(path3, VertexOrdering(order=(0, 1), degeneracy=1))
 
