@@ -118,9 +118,6 @@ class OrientedGraph:
     def out_mask(self, u: int) -> int:
         return _mask(self._out[u])
 
-    def out_neighbours(self, u: int) -> list[int]:
-        return list(self._out[u])
-
     def neighbours(self, u: int) -> list[int]:
         return sorted(self._out[u] + self._in[u])
 

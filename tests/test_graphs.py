@@ -51,7 +51,7 @@ def test_out_of_range_rejected():
 
 def test_degree_counts(path3):
     assert path3.degree(1) == 2
-    assert path3.out_neighbours(0) == [1]
+    assert [v for v in path3.neighbours(0) if path3.has_arc(0, v)] == [1]
     assert path3.arc_count == 2
     assert path3.max_degree() == 2
     assert path3.min_degree() == 1
@@ -93,9 +93,6 @@ class _MaskOrientedGraph:
     def adj_mask(self, u):
         return self._out[u] | self._in[u]
 
-    def out_neighbours(self, u):
-        return list(bits(self._out[u]))
-
     def neighbours(self, u):
         return list(bits(self.adj_mask(u)))
 
@@ -131,8 +128,7 @@ def _assert_same_graph(g, ref):
     for u in range(g.n):
         assert g.degree(u) == ref.degree(u)
         assert g.neighbours(u) == ref.neighbours(u)
-        out = g.out_neighbours(u)
-        assert type(out) is list and out == ref.out_neighbours(u)
+        assert g._out[u] == tuple(bits(ref.out_mask(u)))
         assert g.out_mask(u) == ref.out_mask(u)
         assert g._in[u] == tuple(bits(ref.in_mask(u)))
         assert underlying.adj_mask(u) == ref.adj_mask(u)
