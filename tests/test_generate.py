@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -17,7 +19,7 @@ from orichrome import (
     transitive_tournament,
 )
 from orichrome.errors import TooLarge
-from orichrome.graphs import OrientedGraph, SimpleGraph, degeneracy_ordering
+from orichrome.graphs import OrientedGraph, SimpleGraph, degeneracy_ordering, serialize_edge_list
 from orichrome.rng import SplitMix64, derive_seed
 
 seeds = st.integers(min_value=0, max_value=2**62)
@@ -116,3 +118,62 @@ def test_dispatcher():
     assert g.n == 9
     with pytest.raises(ValueError):
         generate("moebius-ladder", n=5)
+
+
+# the bench sizes where there is one (stacked 3000, grid 40x40), small ones for
+# the quadratic kinds
+_PINNED_SIZES = {
+    "complete-tournament": {"n": 30},
+    "transitive-tournament": {"n": 30},
+    "directed-cycle": {"n": 50},
+    "toroidal-grid": {"rows": 40, "cols": 40},
+    "stacked-triangulation": {"n": 3000},
+    "planar-sparse": {"n": 3000},
+    "random-oriented": {"n": 40},
+}
+
+_PINNED_DIGESTS = {
+    0: {
+        "complete-tournament": "e631cb6f027c6ece7a4965a8be042f8acc14e6156902eea27e21da2ad609dcc1",
+        "transitive-tournament": "df17503d79386fd129f3c5c27e33af2f8c45c1fc8b1f96a2aee10722b3b78efb",
+        "directed-cycle": "71581e7b9c6dcb4c9e543837438555230e14c4824710e4e64a8818d78c6de609",
+        "toroidal-grid": "12dce10880744b13a7910015cdf6890cd40f8542a1e97052900d787a93af0b51",
+        "stacked-triangulation": "b53aba45f0ed7e3b0e385eeae0c488311acd9029682ec51a8733d9c15927edee",
+        "planar-sparse": "9c15cce20bc5673ee185c174fb8931ba185b1770d2d948c6f930cb5a6375dce9",
+        "random-oriented": "179d813005a70c9a9bfb59945fed46e9879c346efd5f72cde0be6c1e5c7bc879",
+        "torus-70x70": "c8e7f8a104575081f5e0feefa53536dc2d4a2ae328a106001a24c99a3cf64181",
+    },
+    3: {
+        "complete-tournament": "f8fc64a000cf0e3d16da17330d3189672281c01e3b014ea9c49b5949cacfaf4b",
+        "transitive-tournament": "df17503d79386fd129f3c5c27e33af2f8c45c1fc8b1f96a2aee10722b3b78efb",
+        "directed-cycle": "71581e7b9c6dcb4c9e543837438555230e14c4824710e4e64a8818d78c6de609",
+        "toroidal-grid": "3f5f467d4db5975597248af467e6671843cd879180456cb21e5bf1f7cc53d877",
+        "stacked-triangulation": "0f0f6bf46e3e8a5f3e46710609cdb1ea1de8591bc8c803352f9f8ce00a26d97f",
+        "planar-sparse": "f8ad2e75de26e25b7269765cff03b6bf7472d5331766a305c509c6ac4f9fc6cc",
+        "random-oriented": "b82bf4e7b8c219520e1b9e9a8491f1016cb2eda5e99501354987c667a8145bdc",
+        "torus-70x70": "68bfb4794bb4d84e030943dcfe9ec79bea99165c56359be0abe79ebf4ca56421",
+    },
+}
+
+
+def _torus_triangulation(r: int) -> SimpleGraph:
+    """r x r toroidal grid plus one diagonal per square: 6-regular, Euler genus 2."""
+    edges = []
+    for i in range(r):
+        for j in range(r):
+            v = i * r + j
+            edges += [(v, i * r + (j + 1) % r), (v, (i + 1) % r * r + j), (v, (i + 1) % r * r + (j + 1) % r)]
+    return SimpleGraph(r * r, edges)
+
+
+def test_gen_output_pinned():
+    # sha256 of the edge-list text of every gen kind, and of the core
+    # workload's largest torus oriented by random_orientation
+    def sha(g):
+        return hashlib.sha256(serialize_edge_list(g).encode()).hexdigest()
+
+    torus = _torus_triangulation(70)
+    for seed, digests in _PINNED_DIGESTS.items():
+        got = {kind: sha(generate(kind, seed, **size)) for kind, size in _PINNED_SIZES.items()}
+        got["torus-70x70"] = sha(random_orientation(torus, seed))
+        assert got == digests, seed
