@@ -18,7 +18,7 @@ import sys
 from .acceptance import run_all
 from .bounds import bounds_table
 from .errors import OrichromeError
-from .generate import generate
+from .generate import GEN_KINDS, generate
 from .graphs import graph_from_json, graph_to_json, parse_edge_list, serialize_edge_list
 from .oracles import exact_oriented_chromatic, exact_two_dipath
 from .pipeline import colour_surface_graph
@@ -211,18 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_bounds)
 
     p = sub.add_parser("gen", help="emit a generated graph")
-    p.add_argument(
-        "kind",
-        choices=(
-            "complete-tournament",
-            "transitive-tournament",
-            "directed-cycle",
-            "toroidal-grid",
-            "stacked-triangulation",
-            "planar-sparse",
-            "random-oriented",
-        ),
-    )
+    p.add_argument("kind", choices=GEN_KINDS)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--rows", type=int, default=None)
     p.add_argument("--cols", type=int, default=None)

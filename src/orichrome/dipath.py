@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from operator import add
 
 from .bounds import surface_parameters
 from .errors import DegeneracyViolation, InvalidInner, InvariantViolation, PreconditionViolated
@@ -69,7 +68,7 @@ def greedy_two_dipath(g: OrientedGraph, ordering: VertexOrdering) -> DipathColou
     """
     if sorted(ordering.order) != list(range(g.n)):
         raise ValueError("ordering is not a permutation of the vertices")
-    adj = list(map(add, g._out, g._in))
+    adj = g.neighbour_rows()
     colour = [0] * g.n
     get = colour.__getitem__
     d_eff = 0

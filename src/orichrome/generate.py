@@ -8,11 +8,12 @@ with TooLarge rather than silently grinding.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from itertools import combinations, permutations, product
 from typing import Iterator
 
 from .errors import DomainError, InvariantViolation, TooLarge
-from .graphs import OrientedGraph, SimpleGraph, bits
+from .graphs import _MAX_FILE_VERTICES, OrientedGraph, SimpleGraph, _transpose, bits
 from .rng import SplitMix64, derive_seed
 
 _PAIR_STATE_CAP = 5  # 3^C(5,2) oriented graphs
@@ -42,31 +43,60 @@ def random_tournament(n: int, seed: int = 0) -> OrientedGraph:
 
 
 def random_orientation(g: SimpleGraph, seed: int = 0) -> OrientedGraph:
-    """Orient each edge of a simple graph by a fair coin."""
+    """Orient each edge of a simple graph by a fair coin.
+
+    The edges are taken in ``g.edges()`` order, u's higher neighbours for
+    each u in turn.  A tail's out-row gets its lower heads while they are
+    walked and its higher ones on its own turn, so every out-row comes out
+    sorted.
+    """
     rng = SplitMix64(derive_seed(seed, 0x7032))
-    edges = g.edges()
+    rows = g._adj
     # one batch of the coins coin() would draw edge by edge; coin i is bit i,
     # so the binary digits are read from the right
-    coins = format(rng.coin_bits(len(edges)), "b").zfill(len(edges))[::-1]
-    return OrientedGraph(g.n, [(u, v) if c == "1" else (v, u) for (u, v), c in zip(edges, coins)])
+    m = g.edge_count
+    coins = format(rng.coin_bits(m), "b").zfill(m)[::-1]
+    out: list = [[] for _ in rows]
+    i = 0
+    for u, row in enumerate(rows):
+        higher = row[bisect_right(row, u) :]
+        j = i + len(higher)
+        out_u = out[u]
+        for v, c in zip(higher, coins[i:j]):
+            if c == "1":
+                out_u.append(v)
+            else:
+                out[v].append(u)
+        i = j
+    out = list(map(tuple, out))
+    return OrientedGraph._from_rows(out, _transpose(out))
 
 
 def toroidal_grid_graph(rows: int, cols: int) -> SimpleGraph:
-    """The rows x cols grid with wrap-around in both directions (4-regular)."""
+    """The rows x cols grid with wrap-around in both directions (4-regular).
+
+    With rows, cols >= 3 a cell's four neighbours are distinct and differ
+    from it, so the rows are built directly.
+    """
     if rows < 3 or cols < 3:
         raise ValueError("toroidal grid needs rows, cols >= 3")
-    edges = []
+    adj = []
     for i in range(rows):
+        up, here, down = (i - 1) % rows * cols, i * cols, (i + 1) % rows * cols
         for j in range(cols):
-            v = i * cols + j
-            edges.append((v, i * cols + (j + 1) % cols))
-            edges.append((v, ((i + 1) % rows) * cols + j))
-    return SimpleGraph(rows * cols, edges)
+            adj.append(tuple(sorted((up + j, here + (j - 1) % cols, here + (j + 1) % cols, down + j))))
+    return SimpleGraph._from_rows(adj)
 
 
 def toroidal_grid(rows: int, cols: int, seed: int = 0) -> OrientedGraph:
     """Random orientation of the toroidal grid."""
     return random_orientation(toroidal_grid_graph(rows, cols), seed)
+
+
+# The face-splitting generators below build neighbour lists in place.  Each
+# new vertex v is the largest label so far, so appending v keeps the corners'
+# rows sorted, and a face (a, b, c) with a < b < c splits into (a, b, v),
+# (a, c, v) and (b, c, v), which keeps every face sorted too.
 
 
 def stacked_triangulation(n: int, seed: int = 0) -> SimpleGraph:
@@ -79,16 +109,19 @@ def stacked_triangulation(n: int, seed: int = 0) -> SimpleGraph:
     if n < 3:
         raise ValueError("stacked triangulation needs n >= 3")
     rng = SplitMix64(derive_seed(seed, 0x7033))
-    edges = [(0, 1), (1, 2), (0, 2)]
+    adj = [[1, 2], [0, 2], [0, 1]]
     faces = [(0, 1, 2)]
     for v in range(3, n):
         idx = rng.randrange(len(faces))
-        a, b, c = faces[idx]
-        edges.extend([(a, v), (b, v), (c, v)])
+        a, b, c = face = faces[idx]
+        adj[a].append(v)
+        adj[b].append(v)
+        adj[c].append(v)
+        adj.append(list(face))
         faces[idx] = (a, b, v)
         faces.append((a, c, v))
         faces.append((b, c, v))
-    return SimpleGraph(n, edges)
+    return SimpleGraph._from_rows(list(map(tuple, adj)))
 
 
 def planar_sparse_graph(n: int, seed: int = 0) -> SimpleGraph:
@@ -101,7 +134,7 @@ def planar_sparse_graph(n: int, seed: int = 0) -> SimpleGraph:
     if n < 3:
         raise ValueError("planar sparse graph needs n >= 3")
     rng = SplitMix64(derive_seed(seed, 0x7034))
-    edges = [(0, 1), (1, 2), (0, 2)]
+    adj = [[1, 2], [0, 2], [0, 1]]
     faces = [(0, 1, 2)]
     for v in range(3, n):
         idx = rng.randrange(len(faces))
@@ -109,15 +142,17 @@ def planar_sparse_graph(n: int, seed: int = 0) -> SimpleGraph:
         arity = 1 + rng.randrange(3)
         corners = [a, b, c]
         rng.shuffle(corners)
-        for u in corners[:arity]:
-            edges.append((u, v))
+        chosen = sorted(corners[:arity])
+        for u in chosen:
+            adj[u].append(v)
+        adj.append(chosen)
         if arity == 3:
             # v subdivides the face; replace it by the three new ones
             faces[idx] = (a, b, v)
             faces.append((a, c, v))
             faces.append((b, c, v))
         # with arity < 3 the old face stays usable for later insertions
-    return SimpleGraph(n, edges)
+    return SimpleGraph._from_rows(list(map(tuple, adj)))
 
 
 def random_oriented_graph(n: int, seed: int = 0, density: float = 0.5) -> OrientedGraph:
@@ -225,10 +260,24 @@ def all_tournaments(n: int) -> list[OrientedGraph]:
 # -- dispatcher ----------------------------------------------------------------
 
 
+GEN_KINDS = (
+    "complete-tournament",
+    "transitive-tournament",
+    "directed-cycle",
+    "toroidal-grid",
+    "stacked-triangulation",
+    "planar-sparse",
+    "random-oriented",
+)
+
+
 def generate(kind: str, seed: int = 0, **params) -> OrientedGraph:
     """Build one oriented graph of the named kind (CLI entry point).
 
     A size parameter the kind needs but ``params`` lacks raises DomainError.
+    A vertex count (``rows * cols`` for the grid) above the graph-file cap
+    raises TooLarge before anything is built, so ``gen`` never writes a
+    graph that the file reader refuses.
     """
 
     def need(name: str):
@@ -236,6 +285,15 @@ def generate(kind: str, seed: int = 0, **params) -> OrientedGraph:
             raise DomainError(f"graph kind {kind!r} needs the parameter {name!r}")
         return params[name]
 
+    if kind not in GEN_KINDS:
+        raise ValueError(f"unknown graph kind {kind!r}")
+    if kind == "toroidal-grid":
+        # two negative sides are the grid's own ValueError, not a large grid
+        order = max(need("rows"), 0) * max(need("cols"), 0)
+    else:
+        order = need("n")
+    if order > _MAX_FILE_VERTICES:
+        raise TooLarge(f"{kind} with {order} vertices; the limit is {_MAX_FILE_VERTICES}")
     if kind == "complete-tournament":
         return random_tournament(need("n"), seed)
     if kind == "transitive-tournament":
@@ -248,6 +306,4 @@ def generate(kind: str, seed: int = 0, **params) -> OrientedGraph:
         return random_orientation(stacked_triangulation(need("n"), seed), derive_seed(seed, 1))
     if kind == "planar-sparse":
         return random_orientation(planar_sparse_graph(need("n"), seed), derive_seed(seed, 1))
-    if kind == "random-oriented":
-        return random_oriented_graph(need("n"), seed, params.get("density", 0.5))
-    raise ValueError(f"unknown graph kind {kind!r}")
+    return random_oriented_graph(need("n"), seed, params.get("density", 0.5))

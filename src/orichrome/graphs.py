@@ -121,6 +121,10 @@ class OrientedGraph:
     def neighbours(self, u: int) -> list[int]:
         return sorted(self._out[u] + self._in[u])
 
+    def neighbour_rows(self) -> list[tuple[int, ...]]:
+        """Every vertex's neighbours, unsorted: its out-row, then its in-row."""
+        return list(map(add, self._out, self._in))
+
     def degree(self, u: int) -> int:
         return len(self._out[u]) + len(self._in[u])
 
@@ -193,6 +197,10 @@ class SimpleGraph:
 
     def neighbours(self, u: int) -> list[int]:
         return list(self._adj[u])
+
+    def neighbour_rows(self) -> list[tuple[int, ...]]:
+        """Every vertex's neighbour row, the graph's own list; do not mutate."""
+        return self._adj
 
     def degree(self, u: int) -> int:
         return len(self._adj[u])
@@ -278,9 +286,9 @@ def degeneracy_ordering(g) -> VertexOrdering:
     Accepts an OrientedGraph or a SimpleGraph.
     """
     n = g.n
-    adj = [g.neighbours(u) for u in range(n)]
+    adj = g.neighbour_rows()
     alive = [True] * n
-    deg = [len(row) for row in adj]
+    deg = list(map(len, adj))
     # lazy deletion: degrees only fall, so a vertex's newest entry is its
     # smallest and pops first; every later entry finds the vertex removed
     heap = [d * n + u for u, d in enumerate(deg)]
@@ -305,9 +313,10 @@ def degeneracy_ordering(g) -> VertexOrdering:
 def back_degrees(g, order: Iterable[int]) -> list[int]:
     """Back-degree of each position: neighbours among earlier order positions."""
     seen = [False] * g.n
+    adj = g.neighbour_rows()
     out = []
     for v in order:
-        out.append(sum(map(seen.__getitem__, g.neighbours(v))))
+        out.append(sum(map(seen.__getitem__, adj[v])))
         seen[v] = True
     return out
 

@@ -1,3 +1,4 @@
+import importlib
 import inspect
 import json
 import os
@@ -20,6 +21,9 @@ from orichrome import (
     toroidal_grid,
 )
 from orichrome.cli import main
+
+# the package exports the function generate under the submodule's name
+generate_module = importlib.import_module("orichrome.generate")
 
 
 def run(capsys, *argv):
@@ -378,6 +382,54 @@ def test_gen_missing_size_option(capsys, argv):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+# every gen kind one vertex above the graph-file cap, and at the cap
+GEN_SIZES = {
+    "complete-tournament": ("--n", "{n}"),
+    "transitive-tournament": ("--n", "{n}"),
+    "directed-cycle": ("--n", "{n}"),
+    "toroidal-grid": ("--rows", "{rows}", "--cols", "1000"),
+    "stacked-triangulation": ("--n", "{n}"),
+    "planar-sparse": ("--n", "{n}"),
+    "random-oriented": ("--n", "{n}"),
+}
+GEN_BUILDERS = (
+    "random_tournament",
+    "transitive_tournament",
+    "directed_cycle",
+    "toroidal_grid",
+    "toroidal_grid_graph",
+    "stacked_triangulation",
+    "planar_sparse_graph",
+    "random_orientation",
+    "random_oriented_graph",
+)
+
+
+@pytest.mark.parametrize("kind", GEN_SIZES)
+def test_gen_refuses_oversized_before_building(capsys, monkeypatch, kind):
+    # a builder called at all fails the test, so no huge graph is allocated
+    def refuse(*args, **kwargs):
+        raise AssertionError("a generator ran on an oversized request")
+
+    for name in GEN_BUILDERS:
+        monkeypatch.setattr(generate_module, name, refuse)
+    argv = [a.format(n=1_000_001, rows=1001) for a in GEN_SIZES[kind]]
+    code, out, err = run(capsys, "gen", kind, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: TooLarge: ") and "the limit is 1000000" in err
+
+
+@pytest.mark.parametrize("kind", GEN_SIZES)
+def test_gen_at_the_cap_reaches_the_builder(capsys, monkeypatch, kind):
+    # stand-ins return a small graph: the cap itself is admitted
+    for name in GEN_BUILDERS:
+        monkeypatch.setattr(generate_module, name, lambda *args, **kwargs: OrientedGraph(2, [(0, 1)]))
+    argv = [a.format(n=1_000_000, rows=1000) for a in GEN_SIZES[kind]]
+    code, out, _ = run(capsys, "gen", kind, *argv)
+    assert (code, out) == (0, "2 1\n0 1\n")
 
 
 # -- command line ---------------------------------------------------------------

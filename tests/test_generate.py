@@ -1,7 +1,7 @@
 import hashlib
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from orichrome import (
@@ -42,8 +42,44 @@ def test_random_orientation_matches_per_edge_coins(seed, n):
     assert random_orientation(g, seed) == OrientedGraph(n, arcs)
 
 
+# The generators build their rows directly and skip the validating
+# constructors, so these tests hold every generator to what the validating
+# constructors build from its own output.
+
+
+def _assert_simple_valid(g: SimpleGraph) -> None:
+    assert SimpleGraph(g.n, g.edges()) == g
+
+
+def _assert_oriented_valid(o: OrientedGraph) -> None:
+    ref = OrientedGraph(o.n, o.arcs())
+    assert ref == o
+    assert ref._in == o._in
+
+
+@given(seeds, st.integers(min_value=3, max_value=60))
+@example(0, 3)
+def test_face_splitting_generators_match_validated(seed, n):
+    for g in (stacked_triangulation(n, seed), planar_sparse_graph(n, seed)):
+        _assert_simple_valid(g)
+        _assert_oriented_valid(random_orientation(g, seed))
+
+
+@given(seeds, st.integers(min_value=3, max_value=9), st.integers(min_value=3, max_value=9))
+@example(0, 3, 3)
+@example(1, 3, 7)
+@example(2, 8, 3)
+def test_toroidal_grid_matches_validated(seed, rows, cols):
+    g = toroidal_grid_graph(rows, cols)
+    _assert_simple_valid(g)
+    _assert_oriented_valid(random_orientation(g, seed))
+    assert toroidal_grid(rows, cols, seed) == random_orientation(g, seed)
+
+
 def test_random_orientation_of_edgeless_graph():
-    assert random_orientation(SimpleGraph(4), 1).arc_count == 0
+    o = random_orientation(SimpleGraph(4), 1)
+    assert o.arc_count == 0
+    _assert_oriented_valid(o)
 
 
 def test_tournament_counts_up_to_iso():
@@ -118,6 +154,9 @@ def test_dispatcher():
     assert g.n == 9
     with pytest.raises(ValueError):
         generate("moebius-ladder", n=5)
+    # too small on both sides, though rows * cols is above the vertex cap
+    with pytest.raises(ValueError):
+        generate("toroidal-grid", rows=-1001, cols=-1000)
 
 
 # the bench sizes where there is one (stacked 3000, grid 40x40), small ones for
