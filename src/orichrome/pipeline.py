@@ -40,6 +40,8 @@ class _WorkGraph:
     A vertex without arcs never gains one (completions join neighbours of a
     removed vertex), so all such vertices share one immutable empty row for
     both directions.  A vertex with arcs one way may gain them the other way.
+    A removed vertex keeps its own rows: nothing adds to or removes from a
+    dead vertex's sets, so they hold its arcs at removal until ``add_vertex``.
     """
 
     __slots__ = ("out", "inn", "alive")
@@ -53,6 +55,11 @@ class _WorkGraph:
         return wk
 
     def add_vertex(self, v: int) -> None:
+        """Undo ``remove_vertex(v)``: re-attach v to the neighbours in its own rows."""
+        for u in self.out[v]:
+            self.inn[u].add(v)
+        for u in self.inn[v]:
+            self.out[u].add(v)
         self.alive[v] = True
 
     def add_arc(self, u: int, v: int) -> None:
@@ -70,15 +77,13 @@ class _WorkGraph:
             raise InvariantViolation(f"pair ({u},{v}) not present")
 
     def remove_vertex(self, v: int) -> None:
+        """Detach v from its neighbours; v's own rows stay for ``add_vertex``."""
         if not self.alive[v]:
             raise InvariantViolation(f"vertex {v} not present")
         for u in self.out[v]:
             self.inn[u].remove(v)
         for u in self.inn[v]:
             self.out[u].remove(v)
-        if self.out[v] or self.inn[v]:  # the shared empty row is immutable
-            self.out[v].clear()
-            self.inn[v].clear()
         self.alive[v] = False
 
     def incident(self, v: int) -> tuple[tuple[int, int], ...]:
@@ -87,33 +92,38 @@ class _WorkGraph:
         return tuple((v, u) if u in out else (u, v) for u in sorted(out | self.inn[v]))
 
 
-@dataclass
-class ReductionStep:
-    """One reversible peeling move, recorded for replay.
+@dataclass(slots=True)
+class VertexStep:
+    """``vertex`` went away after the ``completion`` arcs made its
+    neighbourhood a clique; its arcs stay in the work graph's rows."""
 
-    remove-vertex: ``vertex`` with its ``incident`` arcs went away after the
-    ``completion`` arcs made its neighbourhood a clique.
-    remove-edge: ``arc`` joining ``low_vertex`` (degree 4 or 5) to ``other``
-    (degree < 12) went away; ``degrees`` snapshots both before removal.
-    """
+    kind = "remove-vertex"
+    vertex: int
+    completion: tuple[tuple[int, int], ...]
 
-    kind: str
-    vertex: int | None = None
-    incident: tuple[tuple[int, int], ...] = ()
-    completion: tuple[tuple[int, int], ...] = ()
-    arc: tuple[int, int] | None = None
-    low_vertex: int | None = None
-    other: int | None = None
-    degrees: tuple[int, int] | None = None
+
+@dataclass(slots=True)
+class EdgeStep:
+    """``arc`` joining ``low_vertex`` (degree 4 or 5) to ``other`` (degree < 12) went away."""
+
+    kind = "remove-edge"
+    arc: tuple[int, int]
+    low_vertex: int
+    other: int
 
 
 @dataclass
 class ReductionResult:
-    """Relabelled core and steps; ``work`` is the final work graph, which replay extends."""
+    """Relabelled core and steps.
+
+    ``work`` is the final work graph, which replay extends: its alive part is
+    the core in input labels, and each peeled vertex's rows hold its arcs at
+    removal.
+    """
 
     core: OrientedGraph
     core_vertices: tuple[int, ...]
-    steps: list[ReductionStep]
+    steps: list[VertexStep | EdgeStep]
     work: _WorkGraph
 
 
@@ -180,13 +190,11 @@ def reduce_graph(g: OrientedGraph) -> ReductionResult:
                     return v, u
         return None
 
-    steps: list[ReductionStep] = []
+    steps: list[VertexStep | EdgeStep] = []
     while True:
         v = pop_vertex()
         if v is not None:
-            ov = out[v]
-            neighbours = sorted(ov | inn[v])
-            incident = tuple((v, u) if u in ov else (u, v) for u in neighbours)
+            neighbours = sorted(out[v] | inn[v])
             completion = []
             for a, b in combinations(neighbours, 2):
                 if b not in out[a] and b not in inn[a]:
@@ -195,32 +203,16 @@ def reduce_graph(g: OrientedGraph) -> ReductionResult:
                     completion.append((a, b))
             wk.remove_vertex(v)
             touch(neighbours)
-            steps.append(
-                ReductionStep(
-                    kind="remove-vertex",
-                    vertex=v,
-                    incident=incident,
-                    completion=tuple(completion),
-                )
-            )
+            steps.append(VertexStep(v, tuple(completion)))
         else:
             pair = pop_edge()
             if pair is None:
                 break
             low, other = pair
             arc = (low, other) if other in out[low] else (other, low)
-            degrees = (deg[low], deg[other])
             wk.remove_pair(low, other)
             touch(pair)
-            steps.append(
-                ReductionStep(
-                    kind="remove-edge",
-                    arc=arc,
-                    low_vertex=low,
-                    other=other,
-                    degrees=degrees,
-                )
-            )
+            steps.append(EdgeStep(arc, low, other))
 
     if not steps:
         return ReductionResult(core=g, core_vertices=tuple(range(g.n)), steps=steps, work=wk)
@@ -466,18 +458,14 @@ def colour_surface_graph(g: OrientedGraph, genus: int, target=None) -> PipelineR
     # replay the peeling in reverse on the reducer's final work graph
     replay_classes: dict[int, int] = {}
     debug_checks = 0
-    out, inn = wk.out, wk.inn
     for step in reversed(steps):
         if step.kind == "remove-vertex":
             for a, b in step.completion:
                 wk.remove_pair(a, b)
             v = step.vertex
             wk.add_vertex(v)
-            for a, b in step.incident:
-                out[a].add(b)
-                inn[b].add(a)
             replay_classes[v] = _place(target, mapping, wk, v, set())
-            debug_checks += _assert_realized(target, mapping, step.incident)
+            debug_checks += _assert_realized(target, mapping, wk.incident(v))
         else:
             v, w = step.low_vertex, step.other
             # v and w are not adjacent here, so re-mapping w leaves v's constraints as they are

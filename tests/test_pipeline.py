@@ -1,6 +1,8 @@
+import dataclasses
 import hashlib
 import json
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations
@@ -196,43 +198,53 @@ class _MaskWorkGraph:
         return None
 
 
-def _reference_reduce(g: OrientedGraph) -> tuple[list, tuple[int, ...], OrientedGraph]:
-    """The reducer as one lowest-index scan per step: its steps, core vertices
-    and core, the last built by the validating constructor."""
+def _reference_reduce(g: OrientedGraph):
+    """The reducer as one lowest-index scan per step: its steps, the arcs at
+    each removed vertex, the degrees of both ends of each removed edge, its
+    core vertices and core, the last built by the validating constructor."""
     wk = _MaskWorkGraph(g)
-    steps = []
+    steps, incident, degrees = [], {}, []
     while True:
         v = wk.removable_vertex()
         if v is not None:
-            incident = wk.incident(v)
+            incident[v] = wk.incident(v)
             completion = []
             for a, b in combinations(bits(wk.adj(v)), 2):
                 if not wk.has_edge(a, b):
                     wk.add_arc(a, b)
                     completion.append((a, b))
             wk.remove_vertex(v)
-            steps.append(
-                pipeline.ReductionStep(
-                    kind="remove-vertex", vertex=v, incident=incident, completion=tuple(completion)
-                )
-            )
+            steps.append(pipeline.VertexStep(v, tuple(completion)))
         else:
             pair = wk.removable_edge()
             if pair is None:
                 break
             low, other = pair
             arc = (low, other) if wk.out[low] >> other & 1 else (other, low)
-            degrees = (wk.degree(low), wk.degree(other))
+            degrees.append((wk.degree(low), wk.degree(other)))
             wk.remove_pair(low, other)
-            steps.append(
-                pipeline.ReductionStep(
-                    kind="remove-edge", arc=arc, low_vertex=low, other=other, degrees=degrees
-                )
-            )
+            steps.append(pipeline.EdgeStep(arc, low, other))
     core_vertices = tuple(bits(wk.alive))
     index = {v: i for i, v in enumerate(core_vertices)}
     arcs = [(index[a], index[b]) for a in core_vertices for b in bits(wk.out[a])]
-    return steps, core_vertices, OrientedGraph(len(core_vertices), arcs)
+    return steps, incident, degrees, core_vertices, OrientedGraph(len(core_vertices), arcs)
+
+
+def _forward_degrees(g: OrientedGraph, steps) -> list[tuple[int, int]]:
+    """Replay ``steps`` forward on a fresh work graph; the degrees of
+    ``low_vertex`` and ``other`` before each edge removal."""
+    wk = pipeline._WorkGraph.from_graph(g)
+    degrees = []
+    for s in steps:
+        if s.kind == "remove-vertex":
+            for a, b in s.completion:
+                wk.add_arc(a, b)
+            wk.remove_vertex(s.vertex)
+        else:
+            v, w = s.low_vertex, s.other
+            degrees.append((len(wk.out[v]) + len(wk.inn[v]), len(wk.out[w]) + len(wk.inn[w])))
+            wk.remove_pair(v, w)
+    return degrees
 
 
 def _reference_ordering(g) -> VertexOrdering:
@@ -282,8 +294,11 @@ FAMILIES = {
 def _reduce_matches_reference(g: OrientedGraph) -> int:
     """Assert the worklists take the reference's steps and orders; count edge steps."""
     res = reduce_graph(g)
-    steps, core_vertices, core = _reference_reduce(g)
+    steps, incident, degrees, core_vertices, core = _reference_reduce(g)
     assert res.steps == steps
+    # a removed vertex's rows still hold its arcs at removal
+    assert {s.vertex: res.work.incident(s.vertex) for s in steps if s.kind == "remove-vertex"} == incident
+    assert _forward_degrees(g, res.steps) == degrees
     assert res.core_vertices == core_vertices
     assert res.core == core
     assert res.core._in == core._in
@@ -333,18 +348,19 @@ def test_six_regular_torus_takes_no_heap_pop(monkeypatch):
 
 def test_vertex_steps_record_low_degree():
     tree = OrientedGraph(4, [(0, 1), (1, 2), (2, 3)])
-    for s in reduce_graph(tree).steps:
+    res = reduce_graph(tree)
+    for s in res.steps:
         assert s.kind == "remove-vertex"
-        assert len(s.incident) <= 3
-        assert all(v == s.vertex or u == s.vertex for u, v in s.incident)
+        incident = res.work.incident(s.vertex)
+        assert len(incident) <= 3
+        assert all(v == s.vertex or u == s.vertex for u, v in incident)
 
 
 def test_edge_steps_record_degrees():
     g = icosahedron_orientation(5)
-    for s in reduce_graph(g).steps:
-        if s.kind == "remove-edge":
-            assert s.degrees[0] in (4, 5)
-            assert s.degrees[1] < 12
+    for low, other in _forward_degrees(g, reduce_graph(g).steps):
+        assert low in (4, 5)
+        assert other < 12
 
 
 @settings(deadline=None, max_examples=25)
@@ -530,6 +546,57 @@ def test_in_only_vertex_gains_completion_arc():
     wk.add_arc(1, 2)
     assert wk.out == [{1, 2}, {2}, set(), set()]
     assert wk.inn == [set(), {0}, {0, 1}, set()]
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_replay_restores_the_input_graph(family, monkeypatch):
+    # add_vertex re-attaches each peeled vertex from its own rows, so after
+    # the replay the work graph is the input again
+    real, captured = pipeline.reduce_graph, []
+
+    def capture(g):
+        captured.append(real(g))
+        return captured[-1]
+
+    monkeypatch.setattr(pipeline, "reduce_graph", capture)
+    for seed in range(4):
+        g = FAMILIES[family](seed, 12 + 7 * seed)
+        colour_surface_graph(g, g.n // 6 + 2)  # the whole core fits the pool
+        wk = captured.pop().work
+        assert [sorted(s) for s in wk.out] == [list(r) for r in g._out]
+        assert [sorted(s) for s in wk.inn] == [list(r) for r in g._in]
+        assert all(wk.alive)
+
+
+def _bytes_per_step(steps) -> float:
+    """Average sys.getsizeof of a step record, its attribute dict if it has
+    one, and the tuples it holds; an object shared by steps counts once."""
+    seen, total, stack = set(), 0, list(steps)
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        total += sys.getsizeof(obj)
+        if isinstance(obj, tuple):
+            stack += [x for x in obj if isinstance(x, tuple)]
+        else:
+            total += sys.getsizeof(vars(obj)) if hasattr(obj, "__dict__") else 0
+            values = (getattr(obj, f.name) for f in dataclasses.fields(obj))
+            stack += [x for x in values if isinstance(x, tuple)]
+    return total / len(steps)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: random_orientation(stacked_triangulation(10**4, 0), 0), lambda: toroidal_grid(60, 60, 0)],
+    ids=["stacked-10000", "grid-60x60"],
+)
+def test_reduction_log_is_small(make):
+    # the log keeps only what the work graph cannot give back: no arcs of a
+    # removed vertex, no degree snapshot
+    steps = reduce_graph(make()).steps
+    assert _bytes_per_step(steps) < 256
 
 
 # -- constraints ----------------------------------------------------------------------
