@@ -618,16 +618,41 @@ def test_constraints_read_mapped_neighbours():
 
 
 class _UnfixingTarget(LazyTarget):
-    """Answers every query with a fresh class vertex and fixes no arc."""
+    """Answers its first ``fixing`` queries as LazyTarget does, then every
+    query with a fresh class vertex, fixing no arc."""
+
+    def __init__(self, free_classes: int, pool_capacity: int, fixing: int = 0):
+        super().__init__(free_classes, pool_capacity)
+        self.fixing = fixing
 
     def query(self, class_index: int, constraints: dict[int, int]) -> int:
+        if self.fixing:
+            self.fixing -= 1
+            return super().query(class_index, constraints)
         return self._mint(class_index)
 
 
 def test_replay_rejects_unrealized_arc():
+    # peeling 1 adds the completion arc 2 -> 3, the first arc the replay checks
     tree = OrientedGraph(4, [(0, 1), (1, 2), (1, 3)])
-    with pytest.raises(InvariantViolation, match=r"replay produced an unrealized arc"):
+    with pytest.raises(InvariantViolation, match=r"^replay produced an unrealized arc \(2,3\)$"):
         colour_surface_graph(tree, 2, _UnfixingTarget(4, 12))
+    # every arc a replayed vertex or edge touches is checked once per step
+    assert colour_surface_graph(random_orientation(stacked_triangulation(30, 1), 1), 2).debug_checks == 84
+    assert colour_surface_graph(toroidal_grid(6, 6, 2), 2).debug_checks == 324
+
+
+def test_replay_rejects_unrealized_arc_at_edge_step():
+    # the grid peels to an empty core, and six vertex steps follow its last
+    # edge step, so query 6 re-maps that step's weak endpoint 17; the arc to
+    # the low endpoint 15, added back just before, is the first one at 17
+    g = toroidal_grid(5, 5, 11)
+    steps = reduce_graph(g).steps
+    last = max(i for i, s in enumerate(steps) if s.kind == "remove-edge")
+    assert len(steps) - 1 - last == 6
+    assert steps[last] == pipeline.EdgeStep((15, 17), 15, 17)
+    with pytest.raises(InvariantViolation, match=r"^replay produced an unrealized arc \(15,17\)$"):
+        colour_surface_graph(g, 2, _UnfixingTarget(114, 12, fixing=6))
 
 
 def test_pipeline_single_arc():
