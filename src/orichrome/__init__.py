@@ -75,7 +75,6 @@ from .targets import (
     LazyTarget,
     RestrictedTarget,
     build_restricted,
-    cyclic_k44_target,
     cyclic_k66_target,
     failure_probability_bound,
     minimal_full_N,

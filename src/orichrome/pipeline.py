@@ -14,6 +14,7 @@ degree check and the stripped back-degree check.
 from __future__ import annotations
 
 import json
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
@@ -85,11 +86,6 @@ class _WorkGraph:
         for u in self.inn[v]:
             self.out[u].remove(v)
         self.alive[v] = False
-
-    def incident(self, v: int) -> tuple[tuple[int, int], ...]:
-        """Arcs at v as (tail, head), by ascending neighbour."""
-        out = self.out[v]
-        return tuple((v, u) if u in out else (u, v) for u in sorted(out | self.inn[v]))
 
 
 @dataclass(slots=True)
@@ -308,16 +304,16 @@ def _embed_pool(target, wk: _WorkGraph, vertices) -> dict[int, int]:
     return mapping
 
 
-def _constraints(mapping: dict[int, int], wk: _WorkGraph, v: int) -> dict[int, int]:
-    """Image -> sign toward it for every mapped neighbour of v in the work graph.
+def _constraints(mapping: dict[int, int], out: set[int], neighbours: list[int]) -> dict[int, int]:
+    """Image -> sign toward it for every mapped one of ``neighbours``, the
+    sorted neighbours of a vertex whose out-neighbours are ``out``.
 
     Two neighbours sharing an image with opposite signs raise
     ConstraintConflict (impossible when the mapped part is valid, since the
     target never holds both directions of a pair).
     """
     constraints: dict[int, int] = {}
-    out = wk.out[v]
-    for u in sorted(out | wk.inn[v]):
+    for u in neighbours:
         image = mapping.get(u)
         if image is None:
             continue
@@ -336,26 +332,27 @@ def _first_free_class(target, avoid: set[int]) -> int:
     )
 
 
-def _classes_of(target, images) -> set[int]:
-    return {target.class_of(x) for x in images}
-
-
-def _place(target, mapping: dict[int, int], wk: _WorkGraph, v: int, avoid: set[int]) -> int:
-    """Map v into the first free class clear of ``avoid`` and of its constraint images."""
-    constraints = _constraints(mapping, wk, v)
-    cls = _first_free_class(target, avoid | _classes_of(target, constraints))
-    mapping[v] = target.query(cls, constraints)
+def _place(target, mapping: dict[int, int], classes: dict[int, int], v: int,
+           out: set[int], neighbours: list[int], avoid: set[int]) -> int:
+    """Map v into the first free class clear of ``avoid`` and of the classes
+    of its constraint images; ``classes`` (image -> class) learns the new image."""
+    constraints = _constraints(mapping, out, neighbours)
+    cls = _first_free_class(target, avoid | {classes[x] for x in constraints})
+    mapping[v] = x = target.query(cls, constraints)
+    classes[x] = cls
     return cls
 
 
-def _assert_realized(target, mapping: dict[int, int], arcs: tuple[tuple[int, int], ...]) -> int:
+def _assert_realized(target, mapping: dict[int, int], v: int, out: set[int], neighbours: list[int]) -> int:
+    """Check each arc between v and its sorted ``neighbours``, as (tail, head)."""
     orientation = target.orientation
-    for a, b in arcs:
+    for u in neighbours:
+        a, b = (v, u) if u in out else (u, v)
         if orientation(mapping[a], mapping[b]) != 1:
             raise InvariantViolation(
                 f"replay produced an unrealized arc ({a},{b})"
             )
-    return len(arcs)
+    return len(neighbours)
 
 
 @dataclass
@@ -424,6 +421,7 @@ def colour_surface_graph(g: OrientedGraph, genus: int, target=None) -> PipelineR
                 f"core max degree {core.max_degree()} exceeds {params.core_degree_limit}"
             )
 
+    out, inn = wk.out, wk.inn
     mapping: dict[int, int] = {}
     psi: DipathColouring | None = None
     psi_colours: dict[int, int] | None = None
@@ -452,11 +450,14 @@ def colour_surface_graph(g: OrientedGraph, genus: int, target=None) -> PipelineR
                     f"core needs class {top}, the target has {target.free_classes} free classes"
                 )
             for v in queried:
-                mapping[v] = target.query(psi_colours[v], _constraints(mapping, wk, v))
+                nv = sorted(out[v] | inn[v])
+                mapping[v] = target.query(psi_colours[v], _constraints(mapping, out[v], nv))
     core_classes = {v: target.class_of(x) for v, x in mapping.items()}
 
-    # replay the peeling in reverse on the reducer's final work graph
+    # replay the peeling in reverse on the reducer's final work graph, with
+    # the class of every image placed so far kept beside the mapping
     replay_classes: dict[int, int] = {}
+    classes = {mapping[v]: c for v, c in core_classes.items()}
     debug_checks = 0
     for step in reversed(steps):
         if step.kind == "remove-vertex":
@@ -464,18 +465,25 @@ def colour_surface_graph(g: OrientedGraph, genus: int, target=None) -> PipelineR
                 wk.remove_pair(a, b)
             v = step.vertex
             wk.add_vertex(v)
-            replay_classes[v] = _place(target, mapping, wk, v, set())
-            debug_checks += _assert_realized(target, mapping, wk.incident(v))
+            nv = sorted(out[v] | inn[v])
+            replay_classes[v] = _place(target, mapping, classes, v, out[v], nv, set())
+            debug_checks += _assert_realized(target, mapping, v, out[v], nv)
         else:
             v, w = step.low_vertex, step.other
+            nv, nw = sorted(out[v] | inn[v]), sorted(out[w] | inn[w])
             # v and w are not adjacent here, so re-mapping w leaves v's constraints as they are
-            v_constraints = _constraints(mapping, wk, v)
-            replay_classes[w] = _place(target, mapping, wk, w, _classes_of(target, v_constraints))
+            v_constraints = _constraints(mapping, out[v], nv)
+            w_avoid = {classes[x] for x in v_constraints}
+            replay_classes[w] = _place(target, mapping, classes, w, out[w], nw, w_avoid)
             if mapping[w] in v_constraints:
                 raise InvariantViolation(f"image {mapping[w]} of {w} already constrains {v}")
             wk.add_arc(*step.arc)
-            replay_classes[v] = _place(target, mapping, wk, v, set())
-            debug_checks += _assert_realized(target, mapping, wk.incident(w) + wk.incident(v))
+            # both lists gain the arc at its sorted place, so w's check covers it
+            insort(nv, w)
+            insort(nw, v)
+            replay_classes[v] = _place(target, mapping, classes, v, out[v], nv, set())
+            debug_checks += _assert_realized(target, mapping, w, out[w], nw)
+            debug_checks += _assert_realized(target, mapping, v, out[v], nv)
 
     return PipelineResult(
         valid=_valid(g, target, mapping),

@@ -231,18 +231,6 @@ def _cyclic_bipartite_target(N: int, offsets: tuple[int, ...], d: int) -> FullTa
     return FullTarget._from_out_masks(2, d, N, _orient_cross_pairs(2, N, word), None)
 
 
-def cyclic_k44_target(d: int = 2) -> FullTarget:
-    """Oriented K_{4,4} whose sign patterns are the cyclic shifts of (+,+,-,-).
-
-    Class 1 holds vertices 0..3, class 2 holds 4..7; vertex i of class 1
-    points toward class-2 vertices i and i+1 (cyclically) and receives from
-    the other two.  Realizes both signs toward every single outside vertex,
-    but misses half the patterns on antipodal pairs, so it certifies at
-    arity 1 and fails at arity 2.
-    """
-    return _cyclic_bipartite_target(4, (0, 1), d)
-
-
 def cyclic_k66_target() -> FullTarget:
     """Oriented K_{6,6} whose sign patterns are the cyclic shifts of (+,+,-,+,-,-).
 

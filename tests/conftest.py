@@ -1,6 +1,19 @@
 import pytest
 
-from orichrome import OrientedGraph
+from orichrome import FullTarget, OrientedGraph
+from orichrome.targets import _cyclic_bipartite_target
+
+
+def cyclic_k44_target(d: int = 2) -> FullTarget:
+    """Oriented K_{4,4} whose sign patterns are the cyclic shifts of (+,+,-,-).
+
+    Class 1 holds vertices 0..3, class 2 holds 4..7; vertex i of class 1
+    points toward class-2 vertices i and i+1 (cyclically) and receives from
+    the other two.  Realizes both signs toward every single outside vertex,
+    but misses half the patterns on antipodal pairs, so it certifies at
+    arity 1 and fails at arity 2.
+    """
+    return _cyclic_bipartite_target(4, (0, 1), d)
 
 
 @pytest.fixture

@@ -14,13 +14,14 @@ import orichrome.errors
 from orichrome import (
     OrientedGraph,
     SimpleGraph,
-    cyclic_k44_target,
     random_orientation,
     random_tournament,
     serialize_edge_list,
     toroidal_grid,
 )
 from orichrome.cli import main
+
+from conftest import cyclic_k44_target
 
 # the package exports the function generate under the submodule's name
 generate_module = importlib.import_module("orichrome.generate")

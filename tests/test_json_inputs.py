@@ -9,13 +9,14 @@ from hypothesis import strategies as st
 
 from orichrome import (
     FullTarget,
-    cyclic_k44_target,
     graph_from_json,
     graph_to_json,
     parse_edge_list,
     random_oriented_graph,
 )
 from orichrome.errors import OrichromeError
+
+from conftest import cyclic_k44_target
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(),

@@ -17,7 +17,6 @@ from orichrome import (
     back_degrees,
     build_restricted,
     colour_surface_graph,
-    cyclic_k44_target,
     cyclic_k66_target,
     degeneracy_ordering,
     discharge_check,
@@ -44,6 +43,8 @@ from orichrome.errors import (
 )
 from orichrome import dipath, pipeline
 from orichrome.graphs import SimpleGraph, VertexOrdering, bits
+
+from conftest import cyclic_k44_target
 
 seeds = st.integers(min_value=0, max_value=2**62)
 
@@ -230,6 +231,12 @@ def _reference_reduce(g: OrientedGraph):
     return steps, incident, degrees, core_vertices, OrientedGraph(len(core_vertices), arcs)
 
 
+def _incident(wk: pipeline._WorkGraph, v: int) -> tuple[tuple[int, int], ...]:
+    """Arcs at v in a work graph as (tail, head), by ascending neighbour."""
+    out = wk.out[v]
+    return tuple((v, u) if u in out else (u, v) for u in sorted(out | wk.inn[v]))
+
+
 def _forward_degrees(g: OrientedGraph, steps) -> list[tuple[int, int]]:
     """Replay ``steps`` forward on a fresh work graph; the degrees of
     ``low_vertex`` and ``other`` before each edge removal."""
@@ -297,7 +304,7 @@ def _reduce_matches_reference(g: OrientedGraph) -> int:
     steps, incident, degrees, core_vertices, core = _reference_reduce(g)
     assert res.steps == steps
     # a removed vertex's rows still hold its arcs at removal
-    assert {s.vertex: res.work.incident(s.vertex) for s in steps if s.kind == "remove-vertex"} == incident
+    assert {s.vertex: _incident(res.work, s.vertex) for s in steps if s.kind == "remove-vertex"} == incident
     assert _forward_degrees(g, res.steps) == degrees
     assert res.core_vertices == core_vertices
     assert res.core == core
@@ -351,7 +358,7 @@ def test_vertex_steps_record_low_degree():
     res = reduce_graph(tree)
     for s in res.steps:
         assert s.kind == "remove-vertex"
-        incident = res.work.incident(s.vertex)
+        incident = _incident(res.work, s.vertex)
         assert len(incident) <= 3
         assert all(v == s.vertex or u == s.vertex for u, v in incident)
 
@@ -607,11 +614,12 @@ def test_constraints_read_mapped_neighbours():
     # and 1 shares 0's image with the same sign
     g = OrientedGraph(7, [(6, i) for i in range(3)] + [(i, 6) for i in range(3, 6)])
     wk = pipeline._WorkGraph.from_graph(g)
+    neighbours = sorted(wk.out[6] | wk.inn[6])
     mapping = {0: 10, 1: 10, 2: 12, 3: 13, 4: 14}
-    assert pipeline._constraints(mapping, wk, 6) == {10: 1, 12: 1, 13: -1, 14: -1}
+    assert pipeline._constraints(mapping, wk.out[6], neighbours) == {10: 1, 12: 1, 13: -1, 14: -1}
     mapping[3] = 12
     with pytest.raises(ConstraintConflict):
-        pipeline._constraints(mapping, wk, 6)
+        pipeline._constraints(mapping, wk.out[6], neighbours)
 
 
 # -- the full pipeline ----------------------------------------------------------------
@@ -653,6 +661,27 @@ def test_replay_rejects_unrealized_arc_at_edge_step():
     assert steps[last] == pipeline.EdgeStep((15, 17), 15, 17)
     with pytest.raises(InvariantViolation, match=r"^replay produced an unrealized arc \(15,17\)$"):
         colour_surface_graph(g, 2, _UnfixingTarget(114, 12, fixing=6))
+
+
+class _CountingTarget(LazyTarget):
+    """Counts ``class_of`` calls."""
+
+    class_of_calls = 0
+
+    def class_of(self, v: int) -> int:
+        self.class_of_calls += 1
+        return super().class_of(v)
+
+
+def test_replay_keeps_image_classes():
+    # the replay knows the class of each image it placed, so only the core
+    # classes and _valid's pool check ask the target
+    g = random_orientation(stacked_triangulation(10**3, 0), 0)
+    params = surface_parameters(2)
+    target = _CountingTarget(params.free_classes, params.reserved_capacity)
+    res = colour_surface_graph(g, 2, target)
+    assert res.valid and res.reduction_steps == g.n
+    assert target.class_of_calls <= len(res.core_classes) + g.n
 
 
 def test_pipeline_single_arc():

@@ -20,7 +20,6 @@ def test_no_assert_statements(path):
 
 # exported although no module calls them, each for the reason given
 EXPORTS_WITHOUT_CALLER = {
-    "cyclic_k44_target": "the bundled arity-1 target the restricted-target tests build on",
     "genus_upper_from_edges": "Euler lemma behind clique_order_threshold's (log2 n - 1)n + 1",
     "order_upper_from_min_degree": "Euler lemma, at k = 1 the reason the 6g - 1 strip leaves back-degree 6",
     "stratified_two_dipath": "the public combinator; surface_two_dipath shares its _combine step on the graph it already stripped",

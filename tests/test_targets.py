@@ -10,7 +10,6 @@ from orichrome import (
     FullTarget,
     LazyTarget,
     build_restricted,
-    cyclic_k44_target,
     cyclic_k66_target,
     failure_probability_bound,
     minimal_full_N,
@@ -29,6 +28,8 @@ from orichrome.errors import (
 from orichrome import targets
 from orichrome.rng import SplitMix64, derive_seed
 from orichrome.targets import _points_at
+
+from conftest import cyclic_k44_target
 
 seeds = st.integers(min_value=0, max_value=2**62)
 
