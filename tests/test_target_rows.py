@@ -174,6 +174,39 @@ def test_init_matches_reference(k, N, seed, defects):
     assert built(k, N, arcs) == _reference_init(k, N, arcs)
 
 
+def replace_defect(rng: random.Random, k: int, N: int, arcs: list) -> None:
+    """Overwrite one arc of ``arcs`` with a defect, keeping its length: a
+    loop, an in-class arc, another arc again or reversed, an out-of-range
+    end."""
+    n = k * N
+    kind = rng.randrange(5)
+    at = rng.randrange(len(arcs))
+    u = rng.randrange(n)
+    if kind == 0:
+        arcs[at] = (u, u)
+    elif kind == 1:
+        arcs[at] = (u, u // N * N + rng.randrange(N))
+    elif kind in (2, 3):
+        a, b = rng.choice(arcs)
+        arcs[at] = (a, b) if kind == 2 else (b, a)
+    else:
+        bad = rng.choice([-1, n, n + 3])
+        arcs[at] = (bad, u) if rng.random() < 0.5 else (u, bad)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(min_value=2, max_value=5), Ns, seeds, st.integers(min_value=1, max_value=3))
+def test_init_same_length_defects_match_reference(k, N, seed, defects):
+    # a list of exactly as many arcs as cross pairs, so no length test
+    # catches a defect
+    rng = random.Random(seed)
+    arcs = [(u, v) if rng.random() < 0.5 else (v, u) for u, v in cross_pairs(k, N)]
+    rng.shuffle(arcs)
+    for _ in range(defects):
+        replace_defect(rng, k, N, arcs)
+    assert built(k, N, arcs) == _reference_init(k, N, arcs)
+
+
 # k = 2, N = 2: classes {0, 1} and {2, 3}
 COMPLETE = [(0, 2), (3, 0), (1, 2), (1, 3)]
 
@@ -211,6 +244,28 @@ def test_init_error_order(arcs, message):
     with pytest.raises(InvariantViolation) as info:
         FullTarget(2, 1, 2, arcs)
     assert str(info.value) == message
+
+
+# lists as long as COMPLETE with one entry that is no pair of ints: alone it
+# raises what unpacking or indexing it raises; an earlier defect wins
+@pytest.mark.parametrize(
+    "arcs, error, message",
+    [
+        ([(0, 2), (3, 0), (1.5, 2), (1, 3)], TypeError, "bytearray indices must be integers or slices, not float"),
+        ([(0, 2), (3, 0, 1), (1, 2), (1, 3)], ValueError, "too many values to unpack (expected 2)"),
+        ([(0, 2), None, (1, 2), (1, 3)], TypeError, "cannot unpack non-iterable NoneType object"),
+        ([(0, 2), (2, 0), (1.5, 2), (1, 3)], InvariantViolation, "pair (2,0) oriented twice"),
+        ([(0, 2), (4, 0), (3, 0, 1), (1, 3)], InvariantViolation, "arc (4,0) out of range"),
+        ([(0, 1), None, (1, 2), (1, 3)], InvariantViolation, "arc (0,1) inside a class"),
+        ([(0, 2), None, (0, 2), (1, 3)], TypeError, "cannot unpack non-iterable NoneType object"),
+    ],
+    ids=["float", "3-tuple", "none", "reversed-then-float", "range-then-3-tuple", "in-class-then-none", "none-then-duplicate"],
+)
+def test_init_error_on_entries_that_are_not_pairs(arcs, error, message):
+    assert len(arcs) == len(COMPLETE)
+    with pytest.raises(error) as info:
+        FullTarget(2, 1, 2, arcs)
+    assert type(info.value) is error and str(info.value) == message
 
 
 def test_init_accepts_an_iterator():

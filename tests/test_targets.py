@@ -1,5 +1,6 @@
 import hashlib
 import json
+from functools import cache, partial
 from itertools import combinations, product
 
 import pytest
@@ -24,6 +25,7 @@ from orichrome.errors import (
     DomainError,
     InvalidClass,
     InvariantViolation,
+    RealizationError,
 )
 from orichrome import targets
 from orichrome.rng import SplitMix64, derive_seed
@@ -351,6 +353,68 @@ def test_restricted_realizer_gates():
 def test_restricted_needs_free_class():
     with pytest.raises(DomainError):
         build_restricted(cyclic_k44_target(1), 2)
+
+
+def _reference_query(r, cache: dict, class_index: int, constraints: dict[int, int]) -> int:
+    """RestrictedTarget.query with its plus rows in ``cache``, a dict per
+    class filled one constraint vertex at a time: the reference the library's
+    query must agree with, call for call."""
+    if not 1 <= class_index <= r.free_classes:
+        raise InvalidClass(f"class {class_index} outside 1..{r.free_classes}")
+    arity = r.fullness_arity
+    if arity is not None and len(constraints) > arity:
+        raise ArityExceeded(f"{len(constraints)} constraints exceed certified arity {arity}")
+    full = (1 << r.base.N) - 1
+    rows = cache.setdefault(class_index, {})
+    mask = full
+    for u, sign in constraints.items():
+        targets._check_vertex(u, r.base.vertex_count)
+        if u // r.base.N + 1 == class_index:
+            raise ClassCollision(f"constraint vertex {u} lies in class {class_index}")
+        plus = rows.get(u)
+        if plus is None:
+            plus = rows[u] = _points_at(r.base, class_index, u)
+        mask &= plus if sign == 1 else full ^ plus
+        if not mask:
+            raise RealizationError(f"class {class_index} realizes no vertex for {constraints}")
+    return (class_index - 1) * r.base.N + (mask & -mask).bit_length() - 1
+
+
+@cache
+def _query_bases() -> dict[str, FullTarget]:
+    k66 = cyclic_k66_target()
+    verify_full(k66)
+    return {"k66": k66, "k5": sample_full(5, 2, seed=1)}
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.sampled_from(["k66", "k5"]), st.data())
+def test_restricted_query_matches_dict_reference(name, data):
+    base = _query_bases()[name]
+    certified = base.certified
+    r = build_restricted(base, data.draw(st.integers(min_value=1, max_value=base.k - 1)))
+    n, N = base.vertex_count, base.N
+    signs = st.sampled_from((1, -1, 0, 2))
+    reference = partial(_reference_query, r, {})
+    try:
+        for _ in range(20):
+            base.certified = data.draw(st.booleans())
+            free = r.free_classes
+            c = data.draw(st.integers(min_value=1, max_value=free) | st.integers(min_value=0, max_value=free + 1))
+            # mostly vertices outside the queried class, so that queries get
+            # past the gates; long uncertified sets often realize nothing
+            lo = (c - 1) * N
+            outside = [u for u in range(n) if not lo <= u < lo + N]
+            constraints = data.draw(st.dictionaries(st.sampled_from(outside), signs, max_size=10))
+            odd = data.draw(st.integers(min_value=0, max_value=5))
+            if odd == 0:
+                constraints[data.draw(st.sampled_from([-1, n, n + 5, -n]))] = data.draw(signs)
+            elif odd == 1:
+                constraints[data.draw(st.integers(min_value=0, max_value=n - 1))] = data.draw(signs)
+            args = (c, constraints)
+            assert _outcome(r.query, *args) == _outcome(reference, *args)
+    finally:
+        base.certified = certified
 
 
 # each target with the state a query or a pool arc may change: installed pool
