@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from bisect import insort
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
@@ -290,8 +291,11 @@ def _valid(g: OrientedGraph, target, mapping: dict[int, int]) -> bool:
         for v in row:
             if orientation(image, mapping[v]) != 1:
                 return False
-    pool_images = [x for x in mapping.values() if target.class_of(x) == 0]
-    return len(pool_images) == len(set(pool_images))
+    # class_of once per distinct image, in first-seen order, and for every
+    # one, so that the first image the target lacks still raises
+    counts = Counter(mapping.values())
+    pool_counts = [count for x, count in counts.items() if target.class_of(x) == 0]
+    return all(count == 1 for count in pool_counts)
 
 
 def _embed_pool(target, wk: _WorkGraph, vertices) -> dict[int, int]:

@@ -22,6 +22,7 @@ import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import chain, combinations, product
+from typing import NoReturn
 
 from .errors import (
     ArityExceeded,
@@ -79,35 +80,15 @@ class FullTarget:
         self.certified = False
         n = k * N
         if not isinstance(arcs, (list, tuple)):
-            arcs = list(arcs)  # counted before the loop and, if short, walked again
+            arcs = list(arcs)  # counted before the pass and, if refused, walked again
         pairs = (n * n - k * N * N) // 2
-        # seen[u*n + v] is 1 for the arc u -> v and 2 for v -> u: one byte per
-        # ordered pair, sized only for a list long enough to orient every
-        # cross pair.  A shorter list is refused below, so a dict holds its
-        # few marks instead.
-        seen = bytearray(n * n) if len(arcs) >= pairs > 0 else defaultdict(int)
-        for u, v in arcs:
-            if not (0 <= u < n and 0 <= v < n):
-                raise InvariantViolation(f"arc ({u},{v}) out of range")
-            if u // N == v // N:
-                raise InvariantViolation(f"arc ({u},{v}) inside a class")
-            uv = u * n + v
-            if seen[uv]:
-                raise InvariantViolation(f"pair ({u},{v}) oriented twice")
-            seen[uv] = 1
-            seen[v * n + u] = 2
-        if len(arcs) < pairs:
-            degree = Counter(chain.from_iterable(arcs))
-            u = next(u for u in range(n) if degree[u] != n - N)
-            raise InvariantViolation(f"vertex {u} is not complete to the other classes")
-        if not pairs:  # one class: no cross pair, and no arc got past the loop
+        if not pairs and not arcs:  # one class: no cross pair
             self._out = [0] * n
             return
-        # the arcs are distinct cross pairs, as many as there are, so every
-        # pair is oriented; row u of seen, reversed, is the digits of out[u]
-        # (bit 0 of each byte: 1 for u -> v, 0 for v -> u)
-        digits = _BIT_DIGITS[0]
-        self._out = [int(seen[u * n : (u + 1) * n][::-1].translate(digits), 2) for u in range(n)]
+        out = _marked_rows(k, N, arcs) if len(arcs) == pairs else None
+        if out is None:
+            _raise_arc_defect(n, N, pairs, arcs)
+        self._out = out
 
     @classmethod
     def _from_out_masks(cls, k: int, d: int, N: int, out: list[int], seed: int | None) -> "FullTarget":
@@ -195,6 +176,62 @@ class FullTarget:
         t = cls._from_out_masks(k, d, N, _with_lower(upper, N), obj.get("seed"))
         t.certified = bool(cert.get("verified")) and cert.get("verifier_version") == VERIFIER_VERSION
         return t
+
+
+def _marked_rows(k: int, N: int, arcs) -> list[int] | None:
+    """Out-masks from a list of exactly as many arcs as cross pairs, or None
+    when an arc is out of range, an entry is no pair of ints, or the arcs do
+    not orient every cross pair once.
+
+    Each arc marks one byte per ordered pair; row u of the marks, reversed,
+    is the digits of out[u].  The rows are accepted only when out[u] ^ in[u]
+    is u's cross-class mask for every u, that is when every cross pair is
+    marked in exactly one direction.  That takes one arc per cross pair, all
+    the arcs there are, so none is left to be a loop, to lie inside a class
+    or to repeat a pair in either direction.
+    """
+    n = k * N
+    seen = bytearray(n * n)
+    try:
+        for u, v in arcs:
+            if not (0 <= u < n and 0 <= v < n):
+                return None
+            seen[u * n + v] = 1
+    except (TypeError, ValueError):
+        return None
+    digits = _BIT_DIGITS[0]
+    out = [int(seen[u * n : (u + 1) * n][::-1].translate(digits), 2) for u in range(n)]
+    full = (1 << n) - 1
+    cross = [full ^ ((1 << N) - 1) << c * N for c in range(k)]
+    if all(row ^ col == cross[u // N] for u, (row, col) in enumerate(zip(out, _transpose(out)))):
+        return out
+    return None
+
+
+def _raise_arc_defect(n: int, N: int, pairs: int, arcs) -> NoReturn:
+    """Raise FullTarget's error for arcs that do not orient each cross pair
+    once: the first arc out of range, inside a class or repeating a pair, in
+    list order, or else the first vertex a short list leaves incomplete."""
+    # seen[u*n + v] is 1 for the arc u -> v and 2 for v -> u: one byte per
+    # ordered pair, sized only for a list long enough to orient every
+    # cross pair.  A shorter list is refused below, so a dict holds its
+    # few marks instead.
+    seen = bytearray(n * n) if len(arcs) >= pairs > 0 else defaultdict(int)
+    for u, v in arcs:
+        if not (0 <= u < n and 0 <= v < n):
+            raise InvariantViolation(f"arc ({u},{v}) out of range")
+        if u // N == v // N:
+            raise InvariantViolation(f"arc ({u},{v}) inside a class")
+        uv = u * n + v
+        if seen[uv]:
+            raise InvariantViolation(f"pair ({u},{v}) oriented twice")
+        seen[uv] = 1
+        seen[v * n + u] = 2
+    # every arc is a distinct cross pair, so the list is short: one of full
+    # length would have passed _marked_rows
+    degree = Counter(chain.from_iterable(arcs))
+    u = next(u for u in range(n) if degree[u] != n - N)
+    raise InvariantViolation(f"vertex {u} is not complete to the other classes")
 
 
 def _transpose(rows: list[int]) -> list[int]:
@@ -448,6 +485,10 @@ class RestrictedTarget:
     Classes 1..free_classes keep their cross arcs; vertices of the remaining
     classes form the pool (class 0) and the arcs among them are deleted.
     Arcs inside the pool exist only when installed explicitly.
+
+    A class's first query builds its plus rows, one per target vertex u:
+    the mask of the class members pointing at u.  A query ANDs one row, or
+    its complement, per constraint and answers the lowest member left.
     """
 
     def __init__(self, base: FullTarget, free_classes: int):
@@ -457,7 +498,7 @@ class RestrictedTarget:
         self.free_classes = free_classes
         self.pool: tuple[int, ...] = tuple(range(free_classes * base.N, base.vertex_count))
         self.extra_arcs: set[tuple[int, int]] = set()
-        self._plus_cache: dict[int, dict[int, int]] = {}
+        self._plus_rows: dict[int, list[int]] = {}
 
     @property
     def fullness_arity(self) -> int | None:
@@ -499,22 +540,27 @@ class RestrictedTarget:
         arity = self.fullness_arity
         if arity is not None and len(constraints) > arity:
             raise ArityExceeded(f"{len(constraints)} constraints exceed certified arity {arity}")
-        full = (1 << self.base.N) - 1
-        cache = self._plus_cache.setdefault(class_index, {})
+        base = self.base
+        rows = self._plus_rows.get(class_index)
+        if rows is None:
+            rows = self._plus_rows[class_index] = [
+                _points_at(base, class_index, u) for u in range(base.vertex_count)
+            ]
+        n, N = len(rows), base.N
+        lo = (class_index - 1) * N
+        full = (1 << N) - 1
         mask = full
         for u, sign in constraints.items():
-            _check_vertex(u, self.base.vertex_count)
-            if u // self.base.N + 1 == class_index:
+            if not 0 <= u < n:
+                _check_vertex(u, n)
+            if lo <= u < lo + N:
                 raise ClassCollision(f"constraint vertex {u} lies in class {class_index}")
-            plus = cache.get(u)
-            if plus is None:
-                plus = cache[u] = _points_at(self.base, class_index, u)
-            mask &= plus if sign == 1 else full ^ plus
+            mask &= rows[u] if sign == 1 else full ^ rows[u]
             if not mask:
                 raise RealizationError(
                     f"class {class_index} realizes no vertex for {constraints}"
                 )
-        return (class_index - 1) * self.base.N + (mask & -mask).bit_length() - 1
+        return lo + (mask & -mask).bit_length() - 1
 
     realizer = query  # older name, still called and traced by bench/
 
