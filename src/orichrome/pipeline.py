@@ -19,7 +19,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
-from itertools import chain, combinations, compress
+from itertools import combinations, compress
+from types import MappingProxyType
 
 from .bounds import surface_parameters
 from .dipath import DipathColouring, surface_two_dipath
@@ -31,61 +32,53 @@ from .errors import (
     InvariantViolation,
     NotReduced,
 )
-from .graphs import _NO_ARCS, OrientedGraph, _transpose, degeneracy_ordering
+from .graphs import OrientedGraph, _transpose, degeneracy_ordering
 from .targets import LazyTarget
 
 
 class _WorkGraph:
-    """Mutable oriented graph over a fixed label space: out- and in-neighbour
-    sets and an alive flag per vertex.
+    """Mutable oriented graph over a fixed label space: one signed neighbour
+    map per vertex, ``nb[v][u]`` = 1 for an arc v -> u and -1 for u -> v,
+    and an alive flag per vertex.
 
     A vertex without arcs never gains one (completions join neighbours of a
-    removed vertex), so all such vertices share one immutable empty row for
-    both directions.  A vertex with arcs one way may gain them the other way.
-    A removed vertex keeps its own rows: nothing adds to or removes from a
-    dead vertex's sets, so they hold its arcs at removal until ``add_vertex``.
+    removed vertex), so all such vertices share one immutable empty map.
+    A removed vertex keeps its own map: nothing adds to or removes from a
+    dead vertex's map, so it holds its arcs at removal until ``add_vertex``.
     """
 
-    __slots__ = ("out", "inn", "alive")
+    __slots__ = ("nb", "alive")
 
     @classmethod
     def from_graph(cls, g: OrientedGraph) -> "_WorkGraph":
-        wk = cls()
-        wk.out = [set(o) if o or i else _NO_ARCS for o, i in zip(g._out, g._in)]
-        wk.inn = [set(i) if o or i else _NO_ARCS for o, i in zip(g._out, g._in)]
+        wk, empty = cls(), MappingProxyType({})
+        wk.nb = [dict.fromkeys(o, 1) | dict.fromkeys(i, -1) if o or i else empty for o, i in zip(g._out, g._in)]
         wk.alive = [True] * g.n
         return wk
 
     def add_vertex(self, v: int) -> None:
-        """Undo ``remove_vertex(v)``: re-attach v to the neighbours in its own rows."""
-        for u in self.out[v]:
-            self.inn[u].add(v)
-        for u in self.inn[v]:
-            self.out[u].add(v)
+        """Undo ``remove_vertex(v)``: re-attach v to the neighbours in its own map."""
+        for u, sign in self.nb[v].items():
+            self.nb[u][v] = -sign
         self.alive[v] = True
 
     def add_arc(self, u: int, v: int) -> None:
-        self.out[u].add(v)
-        self.inn[v].add(u)
+        self.nb[u][v] = 1
+        self.nb[v][u] = -1
 
     def remove_pair(self, u: int, v: int) -> None:
-        if v in self.out[u]:
-            self.out[u].remove(v)
-            self.inn[v].remove(u)
-        elif v in self.inn[u]:
-            self.inn[u].remove(v)
-            self.out[v].remove(u)
-        else:
+        nu = self.nb[u]
+        if v not in nu:
             raise InvariantViolation(f"pair ({u},{v}) not present")
+        del nu[v]
+        del self.nb[v][u]
 
     def remove_vertex(self, v: int) -> None:
-        """Detach v from its neighbours; v's own rows stay for ``add_vertex``."""
+        """Detach v from its neighbours; v's own map stays for ``add_vertex``."""
         if not self.alive[v]:
             raise InvariantViolation(f"vertex {v} not present")
-        for u in self.out[v]:
-            self.inn[u].remove(v)
-        for u in self.inn[v]:
-            self.out[u].remove(v)
+        for u in self.nb[v]:
+            del self.nb[u][v]
         self.alive[v] = False
 
 
@@ -114,7 +107,7 @@ class ReductionResult:
     """Relabelled core and steps.
 
     ``work`` is the final work graph, which replay extends: its alive part is
-    the core in input labels, and each peeled vertex's rows hold its arcs at
+    the core in input labels, and each peeled vertex's map holds its arcs at
     removal.
     """
 
@@ -136,39 +129,37 @@ def reduce_graph(g: OrientedGraph) -> ReductionResult:
 
     Candidates come from two min-heaps of vertex indices, re-checked on pop:
     the vertex heap holds every alive vertex of degree <= 3, the edge heap
-    every alive vertex of degree 4 or 5 with a neighbour of degree < 12, each
-    vertex at most once.  A step changes degrees only at the vertices it
-    touches (the removed vertex's neighbours, or both ends of the removed
-    edge), so refreshing those keeps both heaps complete, and each pop picks
-    the vertex the lowest-index scans of the whole graph would.
+    every alive vertex of degree 4 or 5 with a neighbour of degree < 12,
+    each vertex at most once.  A step changes degrees and neighbours only at
+    the vertices it touches; a touch queues the vertex by its new degree and
+    marks it dirty.  An edge pop first lets each alive dirty vertex of
+    degree < 12 queue its degree-4 and -5 neighbours, at that moment's
+    degrees, so both heaps are complete at every pop and each pick is the
+    lowest-index one a scan of the whole graph would make.  A stacked
+    triangulation takes no edge step and never pays for that scan.
 
     When nothing peels, the core is ``g`` itself.
     """
     wk = _WorkGraph.from_graph(g)
-    out, inn, alive = wk.out, wk.inn, wk.alive
+    nb, alive = wk.nb, wk.alive
     deg = g.degrees()
     # seeded with the vertices whose degree qualifies; ascending lists are heaps
     vertex_heap = [v for v, d in enumerate(deg) if d <= 3]
     edge_heap = [v for v, d in enumerate(deg) if d in (4, 5)]
     queued = [d in (4, 5) for d in deg]  # membership of the edge heap
+    dirty: list[int] = []  # touched since the last edge pop
 
     def touch(xs) -> None:
         # a vertex whose degree is not 4 or 5 is pushed when a later touch
         # brings it there, so only current candidates enter the edge heap
         for x in xs:
-            ox, ix = out[x], inn[x]
-            d = deg[x] = len(ox) + len(ix)
+            d = deg[x] = len(nb[x])
             if d <= 3:
                 heappush(vertex_heap, x)
             elif d <= 5 and not queued[x]:
                 queued[x] = True
                 heappush(edge_heap, x)
-            # only a neighbour below 12 makes a degree-4 or -5 vertex eligible
-            if d < 12:
-                for u in chain(ox, ix):
-                    if deg[u] in (4, 5) and not queued[u]:
-                        queued[u] = True
-                        heappush(edge_heap, u)
+        dirty.extend(xs)
 
     def pop_vertex() -> int | None:
         while vertex_heap:
@@ -178,11 +169,19 @@ def reduce_graph(g: OrientedGraph) -> ReductionResult:
         return None
 
     def pop_edge() -> tuple[int, int] | None:
+        # only an alive neighbour below 12 makes a degree-4 or -5 vertex eligible
+        for x in dirty:
+            if alive[x] and deg[x] < 12:
+                for u in nb[x]:
+                    if deg[u] in (4, 5) and not queued[u]:
+                        queued[u] = True
+                        heappush(edge_heap, u)
+        dirty.clear()
         while edge_heap:
             v = heappop(edge_heap)
             queued[v] = False
             if alive[v] and deg[v] in (4, 5):
-                u = min((u for u in chain(out[v], inn[v]) if deg[u] < 12), default=None)
+                u = min((u for u in nb[v] if deg[u] < 12), default=None)
                 if u is not None:
                     return v, u
         return None
@@ -191,12 +190,13 @@ def reduce_graph(g: OrientedGraph) -> ReductionResult:
     while True:
         v = pop_vertex()
         if v is not None:
-            neighbours = sorted(out[v] | inn[v])
+            neighbours = sorted(nb[v])
             completion = []
             for a, b in combinations(neighbours, 2):
-                if b not in out[a] and b not in inn[a]:
-                    out[a].add(b)
-                    inn[b].add(a)
+                na = nb[a]
+                if b not in na:
+                    na[b] = 1
+                    nb[b][a] = -1
                     completion.append((a, b))
             wk.remove_vertex(v)
             touch(neighbours)
@@ -206,18 +206,18 @@ def reduce_graph(g: OrientedGraph) -> ReductionResult:
             if pair is None:
                 break
             low, other = pair
-            arc = (low, other) if other in out[low] else (other, low)
+            arc = (low, other) if nb[low][other] == 1 else (other, low)
             wk.remove_pair(low, other)
             touch(pair)
             steps.append(EdgeStep(arc, low, other))
 
     if not steps:
         return ReductionResult(core=g, core_vertices=tuple(range(g.n)), steps=steps, work=wk)
-    # the work graph's sets hold no loop, duplicate or anti-parallel pair, and
+    # the work graph's maps hold no loop and one sign per pair, and
     # relabelling keeps the order, so sorted rows need no validation
     core_vertices = tuple(compress(range(g.n), alive))
     index = {v: i for i, v in enumerate(core_vertices)}
-    rows = [tuple(sorted(map(index.__getitem__, out[a]))) for a in core_vertices]
+    rows = [tuple(sorted([index[b] for b, sign in nb[a].items() if sign == 1])) for a in core_vertices]
     core = OrientedGraph._from_rows(rows, _transpose(rows))
     return ReductionResult(core=core, core_vertices=core_vertices, steps=steps, work=wk)
 
@@ -303,14 +303,14 @@ def _embed_pool(target, wk: _WorkGraph, vertices) -> dict[int, int]:
     ``wk`` arcs among them by ascending tail and head."""
     mapping = dict(zip(vertices, target.reserve_pool(len(vertices))))
     for a in sorted(mapping):
-        for b in sorted(wk.out[a].intersection(mapping)):
+        for b in sorted([b for b, sign in wk.nb[a].items() if sign == 1 and b in mapping]):
             target.install_pool_arc(mapping[a], mapping[b])
     return mapping
 
 
-def _constraints(mapping: dict[int, int], out: set[int], neighbours: list[int]) -> dict[int, int]:
+def _constraints(mapping: dict[int, int], signs: dict[int, int], neighbours: list[int]) -> dict[int, int]:
     """Image -> sign toward it for every mapped one of ``neighbours``, the
-    sorted neighbours of a vertex whose out-neighbours are ``out``.
+    sorted keys of a vertex's signed neighbour map ``signs``.
 
     Two neighbours sharing an image with opposite signs raise
     ConstraintConflict (impossible when the mapped part is valid, since the
@@ -321,7 +321,7 @@ def _constraints(mapping: dict[int, int], out: set[int], neighbours: list[int]) 
         image = mapping.get(u)
         if image is None:
             continue
-        sign = 1 if u in out else -1
+        sign = signs[u]
         if constraints.setdefault(image, sign) != sign:
             raise ConstraintConflict(f"image {image} required with both orientations")
     return constraints
@@ -337,21 +337,22 @@ def _first_free_class(target, avoid: set[int]) -> int:
 
 
 def _place(target, mapping: dict[int, int], classes: dict[int, int], v: int,
-           out: set[int], neighbours: list[int], avoid: set[int]) -> int:
-    """Map v into the first free class clear of ``avoid`` and of the classes
-    of its constraint images; ``classes`` (image -> class) learns the new image."""
-    constraints = _constraints(mapping, out, neighbours)
+           signs: dict[int, int], neighbours: list[int], avoid: set[int]) -> int:
+    """Map v into the first free class clear of ``avoid`` and of the classes of the
+    images ``_constraints`` reads from ``signs``; ``classes`` (image -> class) learns v's image."""
+    constraints = _constraints(mapping, signs, neighbours)
     cls = _first_free_class(target, avoid | {classes[x] for x in constraints})
     mapping[v] = x = target.query(cls, constraints)
     classes[x] = cls
     return cls
 
 
-def _assert_realized(target, mapping: dict[int, int], v: int, out: set[int], neighbours: list[int]) -> int:
-    """Check each arc between v and its sorted ``neighbours``, as (tail, head)."""
+def _assert_realized(target, mapping: dict[int, int], v: int, signs: dict[int, int], neighbours: list[int]) -> int:
+    """Check each arc between v and its sorted ``neighbours``, as (tail, head),
+    with the direction read from v's signed neighbour map ``signs``."""
     orientation = target.orientation
     for u in neighbours:
-        a, b = (v, u) if u in out else (u, v)
+        a, b = (v, u) if signs[u] == 1 else (u, v)
         if orientation(mapping[a], mapping[b]) != 1:
             raise InvariantViolation(
                 f"replay produced an unrealized arc ({a},{b})"
@@ -425,7 +426,7 @@ def colour_surface_graph(g: OrientedGraph, genus: int, target=None) -> PipelineR
                 f"core max degree {core.max_degree()} exceeds {params.core_degree_limit}"
             )
 
-    out, inn = wk.out, wk.inn
+    nb = wk.nb
     mapping: dict[int, int] = {}
     psi: DipathColouring | None = None
     psi_colours: dict[int, int] | None = None
@@ -454,8 +455,7 @@ def colour_surface_graph(g: OrientedGraph, genus: int, target=None) -> PipelineR
                     f"core needs class {top}, the target has {target.free_classes} free classes"
                 )
             for v in queried:
-                nv = sorted(out[v] | inn[v])
-                mapping[v] = target.query(psi_colours[v], _constraints(mapping, out[v], nv))
+                mapping[v] = target.query(psi_colours[v], _constraints(mapping, nb[v], sorted(nb[v])))
     core_classes = {v: target.class_of(x) for v, x in mapping.items()}
 
     # replay the peeling in reverse on the reducer's final work graph, with
@@ -469,25 +469,25 @@ def colour_surface_graph(g: OrientedGraph, genus: int, target=None) -> PipelineR
                 wk.remove_pair(a, b)
             v = step.vertex
             wk.add_vertex(v)
-            nv = sorted(out[v] | inn[v])
-            replay_classes[v] = _place(target, mapping, classes, v, out[v], nv, set())
-            debug_checks += _assert_realized(target, mapping, v, out[v], nv)
+            nv = sorted(nb[v])
+            replay_classes[v] = _place(target, mapping, classes, v, nb[v], nv, set())
+            debug_checks += _assert_realized(target, mapping, v, nb[v], nv)
         else:
             v, w = step.low_vertex, step.other
-            nv, nw = sorted(out[v] | inn[v]), sorted(out[w] | inn[w])
+            nv, nw = sorted(nb[v]), sorted(nb[w])
             # v and w are not adjacent here, so re-mapping w leaves v's constraints as they are
-            v_constraints = _constraints(mapping, out[v], nv)
+            v_constraints = _constraints(mapping, nb[v], nv)
             w_avoid = {classes[x] for x in v_constraints}
-            replay_classes[w] = _place(target, mapping, classes, w, out[w], nw, w_avoid)
+            replay_classes[w] = _place(target, mapping, classes, w, nb[w], nw, w_avoid)
             if mapping[w] in v_constraints:
                 raise InvariantViolation(f"image {mapping[w]} of {w} already constrains {v}")
             wk.add_arc(*step.arc)
             # both lists gain the arc at its sorted place, so w's check covers it
             insort(nv, w)
             insort(nw, v)
-            replay_classes[v] = _place(target, mapping, classes, v, out[v], nv, set())
-            debug_checks += _assert_realized(target, mapping, w, out[w], nw)
-            debug_checks += _assert_realized(target, mapping, v, out[v], nv)
+            replay_classes[v] = _place(target, mapping, classes, v, nb[v], nv, set())
+            debug_checks += _assert_realized(target, mapping, w, nb[w], nw)
+            debug_checks += _assert_realized(target, mapping, v, nb[v], nv)
 
     return PipelineResult(
         valid=_valid(g, target, mapping),

@@ -233,8 +233,8 @@ def _reference_reduce(g: OrientedGraph):
 
 def _incident(wk: pipeline._WorkGraph, v: int) -> tuple[tuple[int, int], ...]:
     """Arcs at v in a work graph as (tail, head), by ascending neighbour."""
-    out = wk.out[v]
-    return tuple((v, u) if u in out else (u, v) for u in sorted(out | wk.inn[v]))
+    signs = wk.nb[v]
+    return tuple((v, u) if signs[u] == 1 else (u, v) for u in sorted(signs))
 
 
 def _forward_degrees(g: OrientedGraph, steps) -> list[tuple[int, int]]:
@@ -249,7 +249,7 @@ def _forward_degrees(g: OrientedGraph, steps) -> list[tuple[int, int]]:
             wk.remove_vertex(s.vertex)
         else:
             v, w = s.low_vertex, s.other
-            degrees.append((len(wk.out[v]) + len(wk.inn[v]), len(wk.out[w]) + len(wk.inn[w])))
+            degrees.append((len(wk.nb[v]), len(wk.nb[w])))
             wk.remove_pair(v, w)
     return degrees
 
@@ -351,6 +351,28 @@ def test_six_regular_torus_takes_no_heap_pop(monkeypatch):
     res = reduce_graph(g)
     assert res.steps == [] and res.core is g
     assert len(pops) == 0
+
+
+def _waiting_low_vertex() -> OrientedGraph:
+    """Degree-4 vertex 0 whose only neighbour below degree 12 is 2, and 2
+    gets there (12 -> 11) only through a vertex step after the first edge step.
+
+    0 is popped and dropped at that first edge pop, while 2 still has degree
+    12; then edge (1, 3) goes, 1 falls to degree 3 and is peeled, and 2 loses
+    it.  Only 2's own touch can make 0 eligible again.
+    """
+    tournament = [(a, b) for a in range(4, 18) for b in range(a + 1, 18)]  # degree 13 each
+    spokes = [(0, 2), (0, 4), (0, 5), (0, 6), (1, 2), (1, 3), (1, 7), (1, 8)]
+    spokes += [(2, k) for k in range(7, 17)] + [(3, k) for k in range(9, 14)]
+    return OrientedGraph(18, tournament + spokes)
+
+
+def test_edge_candidates_wait_for_the_next_edge_pop():
+    g = _waiting_low_vertex()
+    assert g.degrees()[:4] == [4, 4, 12, 6]
+    steps = reduce_graph(g).steps
+    assert steps == _reference_reduce(g)[0]
+    assert [(s.low_vertex, s.other) for s in steps if s.kind == "remove-edge"] == [(1, 3), (0, 2)]
 
 
 def test_vertex_steps_record_low_degree():
@@ -540,7 +562,21 @@ def test_arc_free_work_graph_is_small():
     finally:
         tracemalloc.stop()
     assert peak < 5 * 2**20
-    assert len(wk.out) == len(wk.inn) == 10**5
+    assert len(wk.nb) == 10**5
+    with pytest.raises(TypeError):
+        wk.nb[-1][0] = 1  # the one empty map all arc-free vertices share is read-only
+
+
+def test_work_graph_is_one_signed_map_per_vertex():
+    # about 3.2 MiB; two neighbour sets per vertex would take 6.1 MiB
+    g = random_orientation(stacked_triangulation(10**4, 0), 0)
+    tracemalloc.start()
+    try:
+        pipeline._WorkGraph.from_graph(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5 * 2**20
 
 
 def test_in_only_vertex_gains_completion_arc():
@@ -551,8 +587,7 @@ def test_in_only_vertex_gains_completion_arc():
     assert colour_surface_graph(g, 2).valid
     wk = pipeline._WorkGraph.from_graph(g)
     wk.add_arc(1, 2)
-    assert wk.out == [{1, 2}, {2}, set(), set()]
-    assert wk.inn == [set(), {0}, {0, 1}, set()]
+    assert wk.nb == [{1: 1, 2: 1}, {0: -1, 2: 1}, {0: -1, 1: -1}, {}]
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
@@ -570,8 +605,8 @@ def test_replay_restores_the_input_graph(family, monkeypatch):
         g = FAMILIES[family](seed, 12 + 7 * seed)
         colour_surface_graph(g, g.n // 6 + 2)  # the whole core fits the pool
         wk = captured.pop().work
-        assert [sorted(s) for s in wk.out] == [list(r) for r in g._out]
-        assert [sorted(s) for s in wk.inn] == [list(r) for r in g._in]
+        assert [sorted(u for u, sign in row.items() if sign == 1) for row in wk.nb] == [list(r) for r in g._out]
+        assert [sorted(u for u, sign in row.items() if sign == -1) for row in wk.nb] == [list(r) for r in g._in]
         assert all(wk.alive)
 
 
@@ -614,12 +649,12 @@ def test_constraints_read_mapped_neighbours():
     # and 1 shares 0's image with the same sign
     g = OrientedGraph(7, [(6, i) for i in range(3)] + [(i, 6) for i in range(3, 6)])
     wk = pipeline._WorkGraph.from_graph(g)
-    neighbours = sorted(wk.out[6] | wk.inn[6])
+    neighbours = sorted(wk.nb[6])
     mapping = {0: 10, 1: 10, 2: 12, 3: 13, 4: 14}
-    assert pipeline._constraints(mapping, wk.out[6], neighbours) == {10: 1, 12: 1, 13: -1, 14: -1}
+    assert pipeline._constraints(mapping, wk.nb[6], neighbours) == {10: 1, 12: 1, 13: -1, 14: -1}
     mapping[3] = 12
     with pytest.raises(ConstraintConflict):
-        pipeline._constraints(mapping, wk.out[6], neighbours)
+        pipeline._constraints(mapping, wk.nb[6], neighbours)
 
 
 # -- the full pipeline ----------------------------------------------------------------
