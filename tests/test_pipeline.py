@@ -698,6 +698,37 @@ def test_replay_rejects_unrealized_arc_at_edge_step():
         colour_surface_graph(g, 2, _UnfixingTarget(114, 12, fixing=6))
 
 
+class _QueryCountingTarget(LazyTarget):
+    """Counts the queries that returned."""
+
+    answered = 0
+
+    def query(self, class_index: int, constraints: dict[int, int]) -> int:
+        x = super().query(class_index, constraints)
+        self.answered += 1
+        return x
+
+
+@pytest.mark.parametrize(
+    "make, free_classes, answered",
+    [
+        # vertex steps only; the fourth placement finds all 3 classes taken
+        (lambda: random_orientation(stacked_triangulation(30, 1), 1), 3, 3),
+        # the grid's first eight replayed steps are vertex steps, and the fourth runs out
+        (lambda: toroidal_grid(6, 6, 2), 3, 3),
+        # the 19th placement is the weak endpoint 23 of an edge step: its own
+        # constraint images and the avoided classes {2, 3, 4, 5} of the low end's cover all 5
+        (lambda: toroidal_grid(6, 6, 2), 5, 18),
+    ],
+)
+def test_replay_runs_out_of_free_classes(make, free_classes, answered):
+    target = _QueryCountingTarget(free_classes, 12)
+    message = rf"^all {free_classes} free classes collide with constraint images$"
+    with pytest.raises(CapacityExceeded, match=message):
+        colour_surface_graph(make(), 2, target)
+    assert target.answered == answered
+
+
 class _CountingTarget(LazyTarget):
     """Counts ``class_of`` calls."""
 

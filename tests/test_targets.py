@@ -417,6 +417,54 @@ def test_restricted_query_matches_dict_reference(name, data):
         base.certified = certified
 
 
+def _reference_orientation(r, a: int, b: int) -> int | None:
+    """RestrictedTarget.orientation through class_of and base.orientation,
+    each end checked by both: the reference the library's orientation must
+    agree with, call for call."""
+
+    def class_of(v: int) -> int:
+        targets._check_vertex(v, r.base.vertex_count)
+        c = v // r.base.N + 1
+        return c if c <= r.free_classes else 0
+
+    ca, cb = class_of(a), class_of(b)
+    if ca == 0 and cb == 0:
+        if (a, b) in r.extra_arcs:
+            return 1
+        if (b, a) in r.extra_arcs:
+            return -1
+        return None
+    if ca == cb:
+        return None
+    targets._check_vertex(a, r.base.vertex_count)
+    targets._check_vertex(b, r.base.vertex_count)
+    if a // r.base.N == b // r.base.N:
+        return None
+    return 1 if r.base._out[a] >> b & 1 else -1
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.sampled_from(["k66", "k5"]), st.data())
+def test_restricted_orientation_matches_reference(name, data):
+    base = _query_bases()[name]
+    r = build_restricted(base, data.draw(st.integers(min_value=1, max_value=base.k - 1)))
+    n, N = base.vertex_count, base.N
+    pool = st.sampled_from(r.pool)
+    for _ in range(data.draw(st.integers(min_value=0, max_value=8))):
+        a, b = data.draw(pool), data.draw(pool)
+        if a != b and r.orientation(a, b) is None:
+            r.install_pool_arc(a, b)
+    # the ends of every class and of the installed arcs, drawn vertices, and
+    # ends just outside and far outside the target, in every pair
+    inside = {v for c in range(base.k) for v in (c * N, c * N + N - 1)}
+    inside.update(v for arc in r.extra_arcs for v in arc)
+    inside.update(data.draw(st.lists(st.integers(min_value=0, max_value=n - 1), max_size=12)))
+    ends = [-n - 1, -2, -1, *sorted(inside), n, n + 1, 10**6]
+    for a in ends:
+        for b in ends:
+            assert _outcome(r.orientation, a, b) == _outcome(_reference_orientation, r, a, b)
+
+
 # each target with the state a query or a pool arc may change: installed pool
 # arcs for the restricted target, minted vertices and fixed orientations for
 # the lazy one
