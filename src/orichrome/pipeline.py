@@ -58,8 +58,9 @@ class _WorkGraph:
 
     def add_vertex(self, v: int) -> None:
         """Undo ``remove_vertex(v)``: re-attach v to the neighbours in its own map."""
-        for u, sign in self.nb[v].items():
-            self.nb[u][v] = -sign
+        nb = self.nb
+        for u, sign in nb[v].items():
+            nb[u][v] = -sign
         self.alive[v] = True
 
     def add_arc(self, u: int, v: int) -> None:
@@ -147,7 +148,8 @@ def reduce_graph(g: OrientedGraph) -> ReductionResult:
     vertex_heap = [v for v, d in enumerate(deg) if d <= 3]
     edge_heap = [v for v, d in enumerate(deg) if d in (4, 5)]
     queued = [d in (4, 5) for d in deg]  # membership of the edge heap
-    dirty: list[int] = []  # touched since the last edge pop
+    dirty: list[int] = []  # touched since the last edge pop, each vertex once
+    is_dirty = bytearray(g.n)  # membership of dirty
 
     def touch(xs) -> None:
         # a vertex whose degree is not 4 or 5 is pushed when a later touch
@@ -159,7 +161,9 @@ def reduce_graph(g: OrientedGraph) -> ReductionResult:
             elif d <= 5 and not queued[x]:
                 queued[x] = True
                 heappush(edge_heap, x)
-        dirty.extend(xs)
+            if not is_dirty[x]:
+                is_dirty[x] = 1
+                dirty.append(x)
 
     def pop_vertex() -> int | None:
         while vertex_heap:
@@ -171,6 +175,7 @@ def reduce_graph(g: OrientedGraph) -> ReductionResult:
     def pop_edge() -> tuple[int, int] | None:
         # only an alive neighbour below 12 makes a degree-4 or -5 vertex eligible
         for x in dirty:
+            is_dirty[x] = 0
             if alive[x] and deg[x] < 12:
                 for u in nb[x]:
                     if deg[u] in (4, 5) and not queued[u]:
@@ -327,39 +332,6 @@ def _constraints(mapping: dict[int, int], signs: dict[int, int], neighbours: lis
     return constraints
 
 
-def _first_free_class(target, avoid: set[int]) -> int:
-    for c in range(1, target.free_classes + 1):
-        if c not in avoid:
-            return c
-    raise CapacityExceeded(
-        f"all {target.free_classes} free classes collide with constraint images"
-    )
-
-
-def _place(target, mapping: dict[int, int], classes: dict[int, int], v: int,
-           signs: dict[int, int], neighbours: list[int], avoid: set[int]) -> int:
-    """Map v into the first free class clear of ``avoid`` and of the classes of the
-    images ``_constraints`` reads from ``signs``; ``classes`` (image -> class) learns v's image."""
-    constraints = _constraints(mapping, signs, neighbours)
-    cls = _first_free_class(target, avoid | {classes[x] for x in constraints})
-    mapping[v] = x = target.query(cls, constraints)
-    classes[x] = cls
-    return cls
-
-
-def _assert_realized(target, mapping: dict[int, int], v: int, signs: dict[int, int], neighbours: list[int]) -> int:
-    """Check each arc between v and its sorted ``neighbours``, as (tail, head),
-    with the direction read from v's signed neighbour map ``signs``."""
-    orientation = target.orientation
-    for u in neighbours:
-        a, b = (v, u) if signs[u] == 1 else (u, v)
-        if orientation(mapping[a], mapping[b]) != 1:
-            raise InvariantViolation(
-                f"replay produced an unrealized arc ({a},{b})"
-            )
-    return len(neighbours)
-
-
 @dataclass
 class PipelineResult:
     """Full record of one pipeline run; to_json carries the public summary."""
@@ -462,6 +434,34 @@ def colour_surface_graph(g: OrientedGraph, genus: int, target=None) -> PipelineR
     # the class of every image placed so far kept beside the mapping
     replay_classes: dict[int, int] = {}
     classes = {mapping[v]: c for v, c in core_classes.items()}
+    query, orientation = target.query, target.orientation
+    free = range(1, target.free_classes + 1)
+
+    def place(v: int, nv: list[int], avoid: set[int]) -> None:
+        """Map v into the first free class outside ``avoid``, which gains the
+        classes of v's constraint images; ``nv`` is v's sorted neighbours."""
+        constraints = _constraints(mapping, nb[v], nv)
+        for x in constraints:
+            avoid.add(classes[x])
+        for c in free:
+            if c not in avoid:
+                break
+        else:
+            raise CapacityExceeded(f"all {target.free_classes} free classes collide with constraint images")
+        mapping[v] = x = query(c, constraints)
+        classes[x] = replay_classes[v] = c
+
+    def check(v: int, nv: list[int]) -> int:
+        """Check each arc between v and its sorted neighbours ``nv``, reported as (tail, head)."""
+        signs, x = nb[v], mapping[v]
+        for u in nv:
+            if signs[u] == 1:
+                if orientation(x, mapping[u]) != 1:
+                    raise InvariantViolation(f"replay produced an unrealized arc ({v},{u})")
+            elif orientation(mapping[u], x) != 1:
+                raise InvariantViolation(f"replay produced an unrealized arc ({u},{v})")
+        return len(nv)
+
     debug_checks = 0
     for step in reversed(steps):
         if step.kind == "remove-vertex":
@@ -470,24 +470,23 @@ def colour_surface_graph(g: OrientedGraph, genus: int, target=None) -> PipelineR
             v = step.vertex
             wk.add_vertex(v)
             nv = sorted(nb[v])
-            replay_classes[v] = _place(target, mapping, classes, v, nb[v], nv, set())
-            debug_checks += _assert_realized(target, mapping, v, nb[v], nv)
+            place(v, nv, set())
+            debug_checks += check(v, nv)
         else:
             v, w = step.low_vertex, step.other
             nv, nw = sorted(nb[v]), sorted(nb[w])
             # v and w are not adjacent here, so re-mapping w leaves v's constraints as they are
             v_constraints = _constraints(mapping, nb[v], nv)
-            w_avoid = {classes[x] for x in v_constraints}
-            replay_classes[w] = _place(target, mapping, classes, w, nb[w], nw, w_avoid)
+            place(w, nw, {classes[x] for x in v_constraints})
             if mapping[w] in v_constraints:
                 raise InvariantViolation(f"image {mapping[w]} of {w} already constrains {v}")
             wk.add_arc(*step.arc)
             # both lists gain the arc at its sorted place, so w's check covers it
             insort(nv, w)
             insort(nw, v)
-            replay_classes[v] = _place(target, mapping, classes, v, nb[v], nv, set())
-            debug_checks += _assert_realized(target, mapping, w, nb[w], nw)
-            debug_checks += _assert_realized(target, mapping, v, nb[v], nv)
+            place(v, nv, set())
+            debug_checks += check(w, nw)
+            debug_checks += check(v, nv)
 
     return PipelineResult(
         valid=_valid(g, target, mapping),

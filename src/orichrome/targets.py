@@ -513,16 +513,21 @@ class RestrictedTarget:
         return c if c <= self.free_classes else 0
 
     def orientation(self, a: int, b: int) -> int | None:
-        ca, cb = self.class_of(a), self.class_of(b)
-        if ca == 0 and cb == 0:
+        base = self.base
+        n, N = base.vertex_count, base.N
+        if not (0 <= a < n and 0 <= b < n):
+            _check_vertex(a, n)
+            _check_vertex(b, n)
+        lo = self.free_classes * N  # the first pool vertex
+        if a >= lo and b >= lo:
             if (a, b) in self.extra_arcs:
                 return 1
             if (b, a) in self.extra_arcs:
                 return -1
             return None
-        if ca == cb:
+        if a // N == b // N:
             return None
-        return self.base.orientation(a, b)
+        return 1 if base._out[a] >> b & 1 else -1
 
     def install_pool_arc(self, a: int, b: int) -> None:
         _check_pool_arc(self, a, b, self.base.vertex_count)
@@ -638,13 +643,17 @@ class LazyTarget:
         Pairs inside a free class never carry an arc; pool pairs become arcs
         only via install_pool_arc.
         """
-        if self._class_of[a] == self._class_of[b] != 0 or a < 0 or b < 0:
+        out = self._out
+        n = len(out)
+        if 0 <= a < n and 0 <= b < n:
+            # queries fix arcs only across classes, so no bit joins one free class
+            if out[a] >> b & 1:
+                return 1
+            return -1 if self._in[a] >> b & 1 else None
+        # an end in -n..-1 has always answered None, and one further out raised
+        if -n <= a < n and -n <= b < n:
             return None
-        if self._out[a] >> b & 1:
-            return 1
-        if self._in[a] >> b & 1:
-            return -1
-        return None
+        raise IndexError("list index out of range")
 
     def install_pool_arc(self, a: int, b: int) -> None:
         _check_pool_arc(self, a, b, self.vertex_count)
@@ -664,7 +673,8 @@ class LazyTarget:
         # a member is blocked by u when its pair with u is fixed the other way
         blocked = 0
         for u, sign in constraints.items():
-            _check_vertex(u, count)
+            if not 0 <= u < count:
+                _check_vertex(u, count)
             if class_of[u] == class_index:
                 raise ClassCollision(f"constraint vertex {u} lies in class {class_index}")
             blocked |= out[u] if sign == 1 else inn[u]

@@ -720,6 +720,7 @@ class _QueryCountingTarget(LazyTarget):
         # constraint images and the avoided classes {2, 3, 4, 5} of the low end's cover all 5
         (lambda: toroidal_grid(6, 6, 2), 5, 18),
     ],
+    ids=["stacked-vertex-step", "grid-vertex-step", "grid-edge-step"],
 )
 def test_replay_runs_out_of_free_classes(make, free_classes, answered):
     target = _QueryCountingTarget(free_classes, 12)
