@@ -68,13 +68,7 @@ def criterion_1(seed: int = DEFAULT_SEED) -> CriterionResult:
     target = cyclic_k66_target()
     res = verify_full(target)
     verified = res is True
-    witness = None
-    if not verified:
-        witness = {
-            "class": res.class_index,
-            "vertices": list(res.vertices),
-            "signs": list(res.signs),
-        }
+    witness = None if verified else res.to_dict()
     n_small = minimal_full_N(2, 2, n_cap=3)
     elapsed = time.perf_counter() - t0
     passed = verified and n_small is None and elapsed < 1.0

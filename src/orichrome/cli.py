@@ -104,13 +104,7 @@ def _cmd_full(args) -> int:
         with open(args.target, "r", encoding="utf-8") as fh:
             t = FullTarget.from_json(fh.read())
         res = verify_full(t)
-        witness = None
-        if res is not True:
-            witness = {
-                "class": res.class_index,
-                "vertices": list(res.vertices),
-                "signs": list(res.signs),
-            }
+        witness = None if res is True else res.to_dict()
         _emit({"action": "verify", "verified": res is True, "witness": witness})
         return 0
     n = minimal_full_N(args.k, args.d, n_cap=args.n_cap)

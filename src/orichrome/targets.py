@@ -12,6 +12,11 @@ arcs inside the pool; LazyTarget materialises the same kind of object on
 demand, minting vertices and fixing orientations only when queried.  Both
 answer the same calls: reserve_pool, query, install_pool_arc, class_of,
 orientation and free_classes.
+
+All three keep one bit row per vertex, bit u of ``_out[x]`` set for the arc
+x -> u, and answer orientation, vertex_count and to_oriented_graph from those
+rows alone.  The two pool targets also keep in-rows, bit u of ``_in[x]`` set
+for u -> x, and a class per vertex, 0 for the pool.
 """
 
 from __future__ import annotations
@@ -62,8 +67,47 @@ class FailureWitness:
     def __bool__(self) -> bool:
         return False
 
+    def to_dict(self) -> dict:
+        """The JSON object ``full verify`` and criterion 1 report."""
+        return {"class": self.class_index, "vertices": list(self.vertices), "signs": list(self.signs)}
 
-class FullTarget:
+
+def _check_vertex(u: int, vertex_count: int) -> None:
+    """The gate every target's class_of, orientation, query and
+    install_pool_arc share: each vertex asked about, constraint vertex and
+    pool-arc end names an existing vertex."""
+    if not 0 <= u < vertex_count:
+        raise InvalidClass(f"vertex {u} outside 0..{vertex_count - 1}")
+
+
+class _BitRows:
+    """The calls every target answers from its out-rows ``_out``."""
+
+    __slots__ = ()
+
+    @property
+    def vertex_count(self) -> int:
+        return len(self._out)
+
+    def orientation(self, a: int, b: int) -> int | None:
+        """+1 when the arc runs a -> b, -1 when b -> a, None when the pair
+        carries none: inside a class, or a pool or lazy pair not yet fixed."""
+        out = self._out
+        n = len(out)
+        if not (0 <= a < n and 0 <= b < n):
+            _check_vertex(a, n)
+            _check_vertex(b, n)
+        if out[a] >> b & 1:
+            return 1
+        if out[b] >> a & 1:
+            return -1
+        return None
+
+    def to_oriented_graph(self) -> OrientedGraph:
+        return OrientedGraph._from_masks(self._out)
+
+
+class FullTarget(_BitRows):
     """Oriented complete k-partite graph with N vertices per class.
 
     Vertices are 0..k*N-1; class c (1-based) holds vertices (c-1)*N..c*N-1.
@@ -98,26 +142,9 @@ class FullTarget:
         t._out = out
         return t
 
-    @property
-    def vertex_count(self) -> int:
-        return self.k * self.N
-
     def class_of(self, v: int) -> int:
         _check_vertex(v, self.vertex_count)
         return v // self.N + 1
-
-    def orientation(self, a: int, b: int) -> int | None:
-        """+1 when the arc runs a -> b, -1 when b -> a, None inside a class."""
-        _check_vertex(a, self.vertex_count)
-        _check_vertex(b, self.vertex_count)
-        if a // self.N == b // self.N:
-            return None
-        if self._out[a] >> b & 1:
-            return 1
-        return -1
-
-    def to_oriented_graph(self) -> OrientedGraph:
-        return OrientedGraph._from_masks(list(self._out))
 
     # -- serialization ---------------------------------------------------
 
@@ -459,14 +486,6 @@ def _check_pool_request(in_use: bool, count: int, capacity: int) -> None:
         raise CapacityExceeded(f"{count} vertices exceed the reserved pool capacity {capacity}")
 
 
-def _check_vertex(u: int, vertex_count: int) -> None:
-    """The gate every target's class_of, query and install_pool_arc share:
-    each vertex asked about, constraint vertex and pool-arc end names an
-    existing vertex."""
-    if not 0 <= u < vertex_count:
-        raise InvalidClass(f"vertex {u} outside 0..{vertex_count - 1}")
-
-
 def _check_pool_arc(target, a: int, b: int, vertex_count: int) -> None:
     """The install_pool_arc gates every target shares, in their fixed order."""
     _check_vertex(a, vertex_count)
@@ -479,16 +498,34 @@ def _check_pool_arc(target, a: int, b: int, vertex_count: int) -> None:
         raise InvariantViolation(f"pool pair ({a},{b}) already oriented")
 
 
-class RestrictedTarget:
+class _PoolRows(_BitRows):
+    """The calls both pool targets answer from their rows: ``_in`` beside
+    ``_out``, bit u of ``_in[x]`` set for the arc u -> x, and ``_class_of``,
+    each vertex's class, 0 for the pool."""
+
+    __slots__ = ()
+
+    def class_of(self, v: int) -> int:
+        _check_vertex(v, len(self._class_of))
+        return self._class_of[v]
+
+    def install_pool_arc(self, a: int, b: int) -> None:
+        _check_pool_arc(self, a, b, len(self._out))
+        self._out[a] |= 1 << b
+        self._in[b] |= 1 << a
+
+
+class RestrictedTarget(_PoolRows):
     """A full target with its top classes merged into a reserved pool.
 
     Classes 1..free_classes keep their cross arcs; vertices of the remaining
     classes form the pool (class 0) and the arcs among them are deleted.
     Arcs inside the pool exist only when installed explicitly.
 
-    A class's first query builds its plus rows, one per target vertex u:
-    the mask of the class members pointing at u.  A query ANDs one row, or
-    its complement, per constraint and answers the lowest member left.
+    The rows are built once: the base's out-rows with the bits among pool
+    vertices cleared, and the in-rows, every other cross pair of a vertex.
+    A query ANDs the class's member mask with one row per constraint and
+    answers the lowest member left.
     """
 
     def __init__(self, base: FullTarget, free_classes: int):
@@ -496,9 +533,14 @@ class RestrictedTarget:
             raise DomainError("need 1 <= free_classes < k")
         self.base = base
         self.free_classes = free_classes
-        self.pool: tuple[int, ...] = tuple(range(free_classes * base.N, base.vertex_count))
-        self.extra_arcs: set[tuple[int, int]] = set()
-        self._plus_rows: dict[int, list[int]] = {}
+        N, n = base.N, base.vertex_count
+        lo = free_classes * N  # the first pool vertex
+        self.pool: tuple[int, ...] = tuple(range(lo, n))
+        self._class_of = [v // N + 1 for v in range(lo)] + [0] * (n - lo)
+        free = (1 << lo) - 1  # a pool vertex's cross pairs: the free classes
+        cross = [((1 << n) - 1) ^ ((1 << N) - 1) << c * N for c in range(free_classes)]
+        self._out = [row if v < lo else row & free for v, row in enumerate(base._out)]
+        self._in = [(cross[v // N] if v < lo else free) ^ row for v, row in enumerate(self._out)]
 
     @property
     def fullness_arity(self) -> int | None:
@@ -508,34 +550,10 @@ class RestrictedTarget:
     def pool_capacity(self) -> int:
         return len(self.pool)
 
-    def class_of(self, v: int) -> int:
-        c = self.base.class_of(v)
-        return c if c <= self.free_classes else 0
-
-    def orientation(self, a: int, b: int) -> int | None:
-        base = self.base
-        n, N = base.vertex_count, base.N
-        if not (0 <= a < n and 0 <= b < n):
-            _check_vertex(a, n)
-            _check_vertex(b, n)
-        lo = self.free_classes * N  # the first pool vertex
-        if a >= lo and b >= lo:
-            if (a, b) in self.extra_arcs:
-                return 1
-            if (b, a) in self.extra_arcs:
-                return -1
-            return None
-        if a // N == b // N:
-            return None
-        return 1 if base._out[a] >> b & 1 else -1
-
-    def install_pool_arc(self, a: int, b: int) -> None:
-        _check_pool_arc(self, a, b, self.base.vertex_count)
-        self.extra_arcs.add((a, b))
-
     def reserve_pool(self, count: int) -> list[int]:
         """The first ``count`` pool vertices; the pool must carry no arcs yet."""
-        _check_pool_request(bool(self.extra_arcs), count, self.pool_capacity)
+        lo = self.pool[0]  # a pool row has bits from lo up only for installed arcs
+        _check_pool_request(any(row >> lo for row in self._out[lo:]), count, self.pool_capacity)
         return list(self.pool[:count])
 
     def query(self, class_index: int, constraints: dict[int, int]) -> int:
@@ -545,27 +563,22 @@ class RestrictedTarget:
         arity = self.fullness_arity
         if arity is not None and len(constraints) > arity:
             raise ArityExceeded(f"{len(constraints)} constraints exceed certified arity {arity}")
-        base = self.base
-        rows = self._plus_rows.get(class_index)
-        if rows is None:
-            rows = self._plus_rows[class_index] = [
-                _points_at(base, class_index, u) for u in range(base.vertex_count)
-            ]
-        n, N = len(rows), base.N
+        out, inn = self._out, self._in
+        n, N = len(out), self.base.N
         lo = (class_index - 1) * N
-        full = (1 << N) - 1
-        mask = full
+        mask = (1 << N) - 1 << lo
         for u, sign in constraints.items():
             if not 0 <= u < n:
                 _check_vertex(u, n)
             if lo <= u < lo + N:
                 raise ClassCollision(f"constraint vertex {u} lies in class {class_index}")
-            mask &= rows[u] if sign == 1 else full ^ rows[u]
+            # sign 1 keeps the members with an arc into u, any other sign those u points at
+            mask &= inn[u] if sign == 1 else out[u]
             if not mask:
                 raise RealizationError(
                     f"class {class_index} realizes no vertex for {constraints}"
                 )
-        return lo + (mask & -mask).bit_length() - 1
+        return (mask & -mask).bit_length() - 1
 
     realizer = query  # older name, still called and traced by bench/
 
@@ -578,7 +591,7 @@ def build_restricted(base: FullTarget, free_classes: int) -> RestrictedTarget:
 # -- lazy targets ----------------------------------------------------------------
 
 
-class LazyTarget:
+class LazyTarget(_PoolRows):
     """On-demand realization of a full-style target of unbounded class size.
 
     Vertices are minted as queries arrive; a pair's orientation is fixed the
@@ -603,14 +616,6 @@ class LazyTarget:
         self._in: list[int] = []
         self._members: dict[int, int] = {}
 
-    @property
-    def vertex_count(self) -> int:
-        return len(self._class_of)
-
-    def class_of(self, v: int) -> int:
-        _check_vertex(v, len(self._class_of))
-        return self._class_of[v]
-
     def minted(self, c: int) -> list[int]:
         return list(bits(self._members.get(c, 0)))
 
@@ -631,33 +636,6 @@ class LazyTarget:
         """Mint ``count`` pool vertices; no pool vertex may be minted yet."""
         _check_pool_request(bool(self._members.get(0)), count, self.pool_capacity)
         return [self.mint_pool() for _ in range(count)]
-
-    def _fix(self, a: int, b: int) -> None:
-        """Fix the arc a -> b on both rows."""
-        self._out[a] |= 1 << b
-        self._in[b] |= 1 << a
-
-    def orientation(self, a: int, b: int) -> int | None:
-        """Orientation between two minted vertices; None while not yet fixed.
-
-        Pairs inside a free class never carry an arc; pool pairs become arcs
-        only via install_pool_arc.
-        """
-        out = self._out
-        n = len(out)
-        if 0 <= a < n and 0 <= b < n:
-            # queries fix arcs only across classes, so no bit joins one free class
-            if out[a] >> b & 1:
-                return 1
-            return -1 if self._in[a] >> b & 1 else None
-        # an end in -n..-1 has always answered None, and one further out raised
-        if -n <= a < n and -n <= b < n:
-            return None
-        raise IndexError("list index out of range")
-
-    def install_pool_arc(self, a: int, b: int) -> None:
-        _check_pool_arc(self, a, b, self.vertex_count)
-        self._fix(a, b)
 
     def query(self, class_index: int, constraints: dict[int, int]) -> int:
         """A class vertex oriented per ``constraints`` (vertex -> sign toward it).
@@ -694,7 +672,3 @@ class LazyTarget:
     def fixed_arcs(self) -> list[tuple[int, int]]:
         """All fixed orientations as arcs (tail, head), sorted."""
         return [(a, b) for a, row in enumerate(self._out) for b in bits(row)]
-
-    def to_oriented_graph(self) -> OrientedGraph:
-        """The currently-realized finite graph (minted vertices, fixed arcs)."""
-        return OrientedGraph._from_masks(self._out)

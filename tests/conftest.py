@@ -16,6 +16,12 @@ def cyclic_k44_target(d: int = 2) -> FullTarget:
     return _cyclic_bipartite_target(4, (0, 1), d)
 
 
+def pool_arcs(r) -> list[tuple[int, int]]:
+    """The arcs installed among a restricted target's pool vertices, sorted,
+    read through its orientation."""
+    return [(a, b) for a in r.pool for b in r.pool if r.orientation(a, b) == 1]
+
+
 @pytest.fixture
 def hub_hexagon() -> OrientedGraph:
     """Directed 6-cycle with every rim vertex also aiming at a central hub."""

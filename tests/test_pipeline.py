@@ -39,12 +39,13 @@ from orichrome.errors import (
     GenusAssumptionViolated,
     InvariantViolation,
     NotReduced,
+    OrichromeError,
     PreconditionViolated,
 )
-from orichrome import dipath, pipeline
+from orichrome import dipath, oracles, pipeline
 from orichrome.graphs import SimpleGraph, VertexOrdering, bits
 
-from conftest import cyclic_k44_target
+from conftest import cyclic_k44_target, pool_arcs
 
 seeds = st.integers(min_value=0, max_value=2**62)
 
@@ -503,7 +504,7 @@ def test_embed_restricted_pool():
     g = random_tournament(4, seed=9)
     mapping = embed(g, r)
     assert pipeline._valid(g, r, mapping)
-    assert len(r.extra_arcs) == 6
+    assert len(pool_arcs(r)) == 6
     assert sorted(mapping.values()) == list(r.pool)
 
 
@@ -885,7 +886,7 @@ def _pinned_record(g: OrientedGraph, target) -> list:
     if isinstance(target, LazyTarget):
         state = [[target.class_of(v) for v in range(target.vertex_count)], target.fixed_arcs()]
     else:
-        state = sorted(target.extra_arcs)
+        state = pool_arcs(target)
     return [
         sorted(res.mapping.items()),
         sorted(res.core_classes.items()),
@@ -899,10 +900,9 @@ def _pinned_record(g: OrientedGraph, target) -> list:
     ]
 
 
-def test_colour_runs_pinned():
-    # mapping, classes, psi, ordering, pool, checks, validity and target state
-    # of each run, or its error; on the lazy target the tori's cores reach
-    # past the pool and the replays take both step kinds
+def _pinned_runs() -> tuple[list[OrientedGraph], dict]:
+    """The graphs test_colour_runs_pinned colours, and the targets it colours
+    each of them into, by name, as functions making a fresh target."""
     graphs = (
         [random_orientation(stacked_triangulation(n, seed), seed) for n, seed in ((4, 0), (30, 1), (90, 2))]
         + [toroidal_grid(r, c, seed) for r, c, seed in ((3, 3, 0), (4, 5, 1), (6, 6, 2))]
@@ -920,11 +920,36 @@ def test_colour_runs_pinned():
         "sampled-5-2": lambda: build_restricted(sampled, 4),
         "k66-1": lambda: build_restricted(k66, 1),
     }
+    return graphs, targets
+
+
+def test_colour_runs_pinned():
+    # mapping, classes, psi, ordering, pool, checks, validity and target state
+    # of each run, or its error; on the lazy target the tori's cores reach
+    # past the pool and the replays take both step kinds
+    graphs, targets = _pinned_runs()
     digest = hashlib.sha256()
     for name, make in targets.items():
         for g in graphs:
             digest.update(json.dumps([name, _pinned_record(g, make())]).encode())
     assert digest.hexdigest() == "9cf7fd716cafc1ba0dc687f9005c224a8fed84eda593ba647da684bfc9d72e33"
+
+
+def test_pinned_runs_are_homomorphisms_into_the_target_graph():
+    # checked by the oracle on the target's own graph, not by the pipeline's
+    # _valid or the replay's checks, which ask the target's orientation
+    graphs, targets = _pinned_runs()
+    coloured = dict.fromkeys(targets, 0)
+    for name, make in targets.items():
+        for g in graphs:
+            target = make()
+            try:
+                res = colour_surface_graph(g, 2, target)
+            except OrichromeError:
+                continue
+            assert oracles.validate_homomorphism(g, target.to_oriented_graph(), res.mapping), name
+            coloured[name] += 1
+    assert coloured == {"lazy": 14, "sampled-5-2": 3, "k66-1": 1}
 
 
 def test_core_path_pinned_at_bench_scale():

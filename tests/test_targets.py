@@ -31,7 +31,7 @@ from orichrome import targets
 from orichrome.rng import SplitMix64, derive_seed
 from orichrome.targets import _points_at
 
-from conftest import cyclic_k44_target
+from conftest import cyclic_k44_target, pool_arcs
 
 seeds = st.integers(min_value=0, max_value=2**62)
 
@@ -417,10 +417,10 @@ def test_restricted_query_matches_dict_reference(name, data):
         base.certified = certified
 
 
-def _reference_orientation(r, a: int, b: int) -> int | None:
+def _reference_orientation(r, installed: set, a: int, b: int) -> int | None:
     """RestrictedTarget.orientation through class_of and base.orientation,
-    each end checked by both: the reference the library's orientation must
-    agree with, call for call."""
+    each end checked by both, with the ``installed`` pool arcs kept as a set:
+    the reference the library's orientation must agree with, call for call."""
 
     def class_of(v: int) -> int:
         targets._check_vertex(v, r.base.vertex_count)
@@ -429,9 +429,9 @@ def _reference_orientation(r, a: int, b: int) -> int | None:
 
     ca, cb = class_of(a), class_of(b)
     if ca == 0 and cb == 0:
-        if (a, b) in r.extra_arcs:
+        if (a, b) in installed:
             return 1
-        if (b, a) in r.extra_arcs:
+        if (b, a) in installed:
             return -1
         return None
     if ca == cb:
@@ -450,26 +450,29 @@ def test_restricted_orientation_matches_reference(name, data):
     r = build_restricted(base, data.draw(st.integers(min_value=1, max_value=base.k - 1)))
     n, N = base.vertex_count, base.N
     pool = st.sampled_from(r.pool)
+    installed = set()
     for _ in range(data.draw(st.integers(min_value=0, max_value=8))):
         a, b = data.draw(pool), data.draw(pool)
         if a != b and r.orientation(a, b) is None:
             r.install_pool_arc(a, b)
+            installed.add((a, b))
+    assert r._in == targets._transpose(r._out)  # the in-rows mirror the out-rows
     # the ends of every class and of the installed arcs, drawn vertices, and
     # ends just outside and far outside the target, in every pair
     inside = {v for c in range(base.k) for v in (c * N, c * N + N - 1)}
-    inside.update(v for arc in r.extra_arcs for v in arc)
+    inside.update(v for arc in installed for v in arc)
     inside.update(data.draw(st.lists(st.integers(min_value=0, max_value=n - 1), max_size=12)))
     ends = [-n - 1, -2, -1, *sorted(inside), n, n + 1, 10**6]
     for a in ends:
         for b in ends:
-            assert _outcome(r.orientation, a, b) == _outcome(_reference_orientation, r, a, b)
+            assert _outcome(r.orientation, a, b) == _outcome(_reference_orientation, r, installed, a, b)
 
 
 # each target with the state a query or a pool arc may change: installed pool
 # arcs for the restricted target, minted vertices and fixed orientations for
 # the lazy one
 QUERY_TARGETS = {
-    "restricted": (lambda: build_restricted(cyclic_k44_target(1), 1), lambda t: set(t.extra_arcs)),
+    "restricted": (lambda: build_restricted(cyclic_k44_target(1), 1), pool_arcs),
     "lazy": (lambda: LazyTarget(3, 2), lambda t: (t.vertex_count, t.fixed_arcs())),
 }
 
@@ -518,6 +521,7 @@ OUTSIDE_CALLS = {
         lambda: build_restricted(cyclic_k66_target(), 1), lambda t: t.orientation(-1, 0), -1, 11
     ),
     "lazy-class_of": (_lazy_with_one_vertex, lambda t: t.class_of(-1), -1, 0),
+    "lazy-orientation": (_lazy_with_one_vertex, lambda t: t.orientation(-1, 0), -1, 0),
 }
 
 
@@ -683,6 +687,8 @@ class _DictLazyTarget:
         self._orient[key] = sign if a < b else -sign
 
     def orientation(self, a: int, b: int) -> int | None:
+        targets._check_vertex(a, self.vertex_count)
+        targets._check_vertex(b, self.vertex_count)
         if self._class_of[a] == self._class_of[b] != 0:
             return None
         return self._get(a, b)
@@ -765,6 +771,7 @@ def test_lazy_target_matches_dict_reference(free_classes, pool_capacity, data):
         assert new.fixed_arcs() == old.fixed_arcs()
         g = new.to_oriented_graph()
         assert (g.n, sorted(g.arcs())) == (V, old.fixed_arcs())
+        assert new._in == targets._transpose(new._out)
         for a in range(-V - 1, V + 1):
             for b in range(-V - 1, V + 1):
                 assert _outcome(new.orientation, a, b) == _outcome(old.orientation, a, b)
