@@ -21,7 +21,6 @@ from .dipath import (
     DipathColouring,
     greedy_two_dipath,
     is_valid_two_dipath,
-    stratified_two_dipath,
     surface_two_dipath,
     two_dipath_palette_bound,
 )

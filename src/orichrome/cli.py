@@ -17,7 +17,7 @@ import sys
 
 from .acceptance import run_all
 from .bounds import bounds_table
-from .errors import OrichromeError
+from .errors import OrichromeError, PreconditionViolated
 from .generate import GEN_KINDS, generate
 from .graphs import graph_from_json, graph_to_json, parse_edge_list, serialize_edge_list
 from .oracles import exact_oriented_chromatic, exact_two_dipath
@@ -113,6 +113,8 @@ def _cmd_full(args) -> int:
 
 
 def _cmd_colour(args) -> int:
+    if args.free_classes is not None and not args.target_file:
+        raise PreconditionViolated("--free-classes needs --target-file")
     g = _read_graph(args.input)
     target = None
     if args.target_file:

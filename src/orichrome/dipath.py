@@ -1,4 +1,4 @@
-"""2-dipath colourings: greedy, stratified, and the bounded-genus variant.
+"""2-dipath colourings: greedy and the bounded-genus variant.
 
 A 2-dipath colouring is a proper colouring of the directed square, i.e. any
 two vertices linked by a directed path of length one or two get different
@@ -19,7 +19,7 @@ from .graphs import OrientedGraph, VertexOrdering, back_degrees, degeneracy_orde
 class DipathColouring:
     """Colour assignment (vertex -> positive int) plus its palette size.
 
-    ``palette_size`` bounds the colour values used; stratified construction
+    ``palette_size`` bounds the colour values used; the surface construction
     may leave some values in 1..palette_size unused.
     """
 
@@ -105,32 +105,6 @@ def _strip_arcs(g: OrientedGraph, strip) -> OrientedGraph:
     return OrientedGraph._from_rows(strip_rows(g._out), strip_rows(g._in))
 
 
-def stratified_two_dipath(g: OrientedGraph, strip_set: list[int], inner: DipathColouring) -> DipathColouring:
-    """Combine a colouring of g minus the strip set's internal arcs.
-
-    ``inner`` must be a valid 2-dipath colouring of g with every arc between
-    two strip-set vertices removed.  Strip-set vertices are then re-coloured
-    with fresh singleton colours above the inner palette (in sorted vertex
-    order), which restores validity on the full graph.
-    """
-    strip = sorted(set(strip_set))
-    if any(not 0 <= v < g.n for v in strip):
-        raise ValueError("strip set outside vertex range")
-    return _combine(_strip_arcs(g, strip), strip, inner)
-
-
-def _combine(stripped: OrientedGraph, strip: list[int], inner: DipathColouring) -> DipathColouring:
-    """stratified_two_dipath on the already stripped graph; ``strip`` sorted."""
-    if not is_valid_two_dipath(stripped, inner.colours):
-        raise InvalidInner("inner colouring is not a valid 2-dipath colouring of the stripped graph")
-    if inner.colours and max(inner.colours.values()) > inner.palette_size:
-        raise InvalidInner("inner colouring uses colours above its own palette")
-    colours = dict(inner.colours)
-    for i, v in enumerate(strip):
-        colours[v] = inner.palette_size + 1 + i
-    return DipathColouring(colours=colours, palette_size=inner.palette_size + len(strip))
-
-
 def surface_two_dipath(
     g: OrientedGraph, genus: int, ordering: VertexOrdering | None = None
 ) -> DipathColouring:
@@ -166,7 +140,13 @@ def surface_two_dipath(
                 f"inconsistent with Euler genus <= {genus}"
             )
     inner = greedy_two_dipath(stripped, VertexOrdering(ordering.order, max(backs)))
-    result = _combine(stripped, sorted(strip), inner)
-    if result.palette_size > params.free_classes:
-        raise InvariantViolation(f"surface palette {result.palette_size} exceeds 138g-162")
-    return result
+    if not is_valid_two_dipath(stripped, inner.colours):
+        raise InvalidInner("inner colouring is not a valid 2-dipath colouring of the stripped graph")
+    # each strip vertex gets a fresh colour above greedy's palette, its
+    # maximum colour, in sorted vertex order; the dict keeps greedy's order
+    for c, v in enumerate(sorted(strip), inner.palette_size + 1):
+        inner.colours[v] = c
+    inner.palette_size += len(strip)
+    if inner.palette_size > params.free_classes:
+        raise InvariantViolation(f"surface palette {inner.palette_size} exceeds 138g-162")
+    return inner

@@ -72,7 +72,7 @@ class RealizationError(OrichromeError):
 
 
 class InvalidInner(OrichromeError):
-    """Inner colouring handed to the stratified colourer is not valid."""
+    """The greedy colouring of the stripped graph failed the independent check."""
 
 
 class PreconditionViolated(OrichromeError):

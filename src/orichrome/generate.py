@@ -34,27 +34,27 @@ def directed_cycle(n: int) -> OrientedGraph:
 
 def random_tournament(n: int, seed: int = 0) -> OrientedGraph:
     """Uniformly random orientation of the complete graph on n vertices."""
-    rng = SplitMix64(derive_seed(seed, 0x7031))
-    arcs = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            arcs.append((u, v) if rng.coin() else (v, u))
-    return OrientedGraph(n, arcs)
+    if n < 0:
+        raise InvariantViolation("vertex count must be non-negative")
+    rows = [[*range(u), *range(u + 1, n)] for u in range(n)]
+    return _orient(rows, SplitMix64(derive_seed(seed, 0x7031)))
 
 
 def random_orientation(g: SimpleGraph, seed: int = 0) -> OrientedGraph:
-    """Orient each edge of a simple graph by a fair coin.
+    """Orient each edge of a simple graph by a fair coin, in ``g.edges()`` order."""
+    return _orient(g._adj, SplitMix64(derive_seed(seed, 0x7032)))
 
-    The edges are taken in ``g.edges()`` order, u's higher neighbours for
-    each u in turn.  A tail's out-row gets its lower heads while they are
-    walked and its higher ones on its own turn, so every out-row comes out
-    sorted.
+
+def _orient(rows: list, rng: SplitMix64) -> OrientedGraph:
+    """Orient each edge of the sorted neighbour rows by one coin from ``rng``,
+    u's higher neighbours for each u in turn.
+
+    A tail's out-row gets its lower heads while they are walked and its
+    higher ones on its own turn, so every out-row comes out sorted.
     """
-    rng = SplitMix64(derive_seed(seed, 0x7032))
-    rows = g._adj
     # one batch of the coins coin() would draw edge by edge; coin i is bit i,
     # so the binary digits are read from the right
-    m = g.edge_count
+    m = sum(map(len, rows)) // 2
     coins = format(rng.coin_bits(m), "b").zfill(m)[::-1]
     out: list = [[] for _ in rows]
     i = 0

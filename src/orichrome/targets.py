@@ -336,6 +336,16 @@ def _subset_or_tables(rows: list[int]) -> list[list[int]]:
     return tables
 
 
+def _verify_arity(k: int, d: int, N: int) -> int:
+    """verify_full's arity for a (k, d, N) target; BudgetExceeded over the verify budget."""
+    outside_count = (k - 1) * N
+    arity = min(d, outside_count)
+    work = k * math.comb(outside_count, arity) * (1 << arity)
+    if work > _DEFAULT_VERIFY_BUDGET:
+        raise BudgetExceeded(f"verification needs ~{work} checks, budget {_DEFAULT_VERIFY_BUDGET}")
+    return arity
+
+
 def verify_full(t: FullTarget):
     """Check the realization property at the target's arity.
 
@@ -350,11 +360,7 @@ def verify_full(t: FullTarget):
     every v that each sign pair (u, v) is realised on, in two table lookups
     per block of 8 members instead of one test per pair.
     """
-    outside_count = (t.k - 1) * t.N
-    arity = min(t.d, outside_count)
-    work = t.k * math.comb(outside_count, arity) * (1 << arity)
-    if work > _DEFAULT_VERIFY_BUDGET:
-        raise BudgetExceeded(f"verification needs ~{work} checks, budget {_DEFAULT_VERIFY_BUDGET}")
+    arity = _verify_arity(t.k, t.d, t.N)
 
     n = t.vertex_count
     full = (1 << t.N) - 1
@@ -436,11 +442,13 @@ def sample_full(k: int, d: int, seed: int = 0) -> FullTarget:
     Las Vegas: each attempt orients all cross-class pairs by independent fair
     coins from a seed-derived stream and runs the verifier; the first
     certified sample is returned.  Raises BudgetExceeded when all
-    _SAMPLE_ATTEMPTS samples fail (astronomically unlikely at the designed N).
+    _SAMPLE_ATTEMPTS samples fail (astronomically unlikely at the designed N),
+    or before the first coin when the verifier's budget refuses (k, d, N).
     """
     if k < 5 or d < 2:
         raise DomainError("sampling bound proved for k >= 5, d >= 2")
     N = math.ceil(8**d * math.log(k))
+    _verify_arity(k, d, N)
     pairs = k * (k - 1) // 2 * N * N
     for attempt in range(_SAMPLE_ATTEMPTS):
         rng = SplitMix64(derive_seed(seed, 0xF011, attempt))
@@ -627,15 +635,10 @@ class LazyTarget(_PoolRows):
         self._members[c] = self._members.get(c, 0) | 1 << v
         return v
 
-    def mint_pool(self) -> int:
-        if self._members.get(0, 0).bit_count() >= self.pool_capacity:
-            raise CapacityExceeded(f"reserved pool holds only {self.pool_capacity} vertices")
-        return self._mint(0)
-
     def reserve_pool(self, count: int) -> list[int]:
         """Mint ``count`` pool vertices; no pool vertex may be minted yet."""
         _check_pool_request(bool(self._members.get(0)), count, self.pool_capacity)
-        return [self.mint_pool() for _ in range(count)]
+        return [self._mint(0) for _ in range(count)]
 
     def query(self, class_index: int, constraints: dict[int, int]) -> int:
         """A class vertex oriented per ``constraints`` (vertex -> sign toward it).
@@ -668,7 +671,3 @@ class LazyTarget(_PoolRows):
                 out[u] |= bit
                 inn[x] |= 1 << u
         return x
-
-    def fixed_arcs(self) -> list[tuple[int, int]]:
-        """All fixed orientations as arcs (tail, head), sorted."""
-        return [(a, b) for a, row in enumerate(self._out) for b in bits(row)]

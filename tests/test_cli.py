@@ -11,6 +11,7 @@ import pytest
 
 import orichrome
 import orichrome.errors
+import orichrome.rng
 from orichrome import (
     OrientedGraph,
     SimpleGraph,
@@ -116,6 +117,17 @@ def test_full_sample_verify_round_trip(capsys, tmp_path):
     code, out, _ = run(capsys, "full", "verify", str(target_file))
     assert code == 0
     assert json.loads(out) == {"action": "verify", "verified": True, "witness": None}
+
+
+def test_full_sample_refuses_before_drawing_a_coin(capsys, monkeypatch):
+    # k = 20 needs more verify checks than the budget; a coin drawn at all fails the test
+    def refuse(self, count):
+        raise AssertionError("sample_full drew coins for a target it cannot verify")
+
+    monkeypatch.setattr(orichrome.rng.SplitMix64, "coin_bits", refuse)
+    code, out, err = run(capsys, "full", "sample", "20", "2")
+    assert (code, out) == (2, "")
+    assert err == "error: BudgetExceeded: verification needs ~532170240 checks, budget 20000000\n"
 
 
 def test_full_verify_failing_target(capsys, tmp_path):
@@ -256,6 +268,13 @@ def test_colour_stored_target_too_few_free_classes(capsys, tmp_path):
     assert "CapacityExceeded" in err
 
 
+def test_colour_free_classes_needs_target_file(capsys, path_file):
+    # the lazy target has no class count to restrict, so the option is refused, not ignored
+    code, out, err = run(capsys, "colour", path_file, "--g", "2", "--free-classes", "3")
+    assert (code, out) == (1, "")
+    assert err == "error: PreconditionViolated: --free-classes needs --target-file\n"
+
+
 def test_colour_empty_graph(capsys, tmp_path):
     f = tmp_path / "empty.og"
     f.write_text("0 0\n")
@@ -362,6 +381,12 @@ def test_gen_density_bounds_accepted(capsys):
     assert out == "4 0\n"
     _, out, _ = run(capsys, "gen", "random-oriented", "--n", "4", "--density", "1")
     assert out.startswith("4 6\n")
+
+
+def test_gen_negative_tournament_size(capsys):
+    code, out, err = run(capsys, "gen", "complete-tournament", "--n", "-5")
+    assert (code, out) == (1, "")
+    assert err == "error: InvariantViolation: vertex count must be non-negative\n"
 
 
 # every gen kind, each with a size option it needs left out

@@ -16,7 +16,6 @@ from orichrome import (
     random_oriented_graph,
     random_tournament,
     stacked_triangulation,
-    stratified_two_dipath,
     surface_two_dipath,
     toroidal_grid,
     two_dipath_palette_bound,
@@ -151,43 +150,6 @@ def test_greedy_matches_dict_reference(seed, n, density, kind, cut, rnd):
 def test_greedy_rejects_non_permutation(path3):
     with pytest.raises(ValueError):
         greedy_two_dipath(path3, VertexOrdering(order=(0, 1), degeneracy=1))
-
-
-# -- stratified combinator -------------------------------------------------------
-
-
-def test_empty_strip_is_identity(path3):
-    inner = _greedy(path3)
-    out = stratified_two_dipath(path3, [], inner)
-    assert out.colours == inner.colours
-    assert out.palette_size == inner.palette_size
-
-
-def test_full_strip_gives_singletons():
-    g = random_oriented_graph(6, 3, density=0.7)
-    stripped_inner = greedy_two_dipath(OrientedGraph(6), degeneracy_ordering(OrientedGraph(6)))
-    out = stratified_two_dipath(g, list(range(6)), stripped_inner)
-    assert len(set(out.colours.values())) == 6
-    assert out.palette_size == 6 + stripped_inner.palette_size
-    assert is_valid_two_dipath(g, out.colours)
-
-
-def test_k4_strip_two_adjacent():
-    k4 = random_tournament(4, seed=5)
-    strip = [0, 1]
-    stripped = OrientedGraph(
-        4, [(u, v) for u, v in k4.arcs() if not ({u, v} <= set(strip))]
-    )
-    inner = _greedy(stripped)
-    out = stratified_two_dipath(k4, strip, inner)
-    assert out.palette_size <= inner.palette_size + 2
-    assert is_valid_two_dipath(k4, out.colours)
-
-
-def test_invalid_inner_rejected(path3):
-    bad = greedy_two_dipath(OrientedGraph(3), degeneracy_ordering(OrientedGraph(3)))
-    with pytest.raises(InvalidInner):
-        stratified_two_dipath(path3, [], bad)
 
 
 # -- surface specialization ------------------------------------------------------

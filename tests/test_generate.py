@@ -42,6 +42,25 @@ def test_random_orientation_matches_per_edge_coins(seed, n):
     assert random_orientation(g, seed) == OrientedGraph(n, arcs)
 
 
+def _per_pair_tournament(n: int, seed: int) -> OrientedGraph:
+    # the tournament as one coin() per pair u < v, in that order, through the
+    # validating constructor
+    rng = SplitMix64(derive_seed(seed, 0x7031))
+    arcs = []
+    for u in range(n):
+        for v in range(u + 1, n):
+            arcs.append((u, v) if rng.coin() else (v, u))
+    return OrientedGraph(n, arcs)
+
+
+@given(seeds, st.integers(min_value=0, max_value=40))
+def test_random_tournament_matches_per_pair_coins(seed, n):
+    t = random_tournament(n, seed)
+    ref = _per_pair_tournament(n, seed)
+    assert t == ref
+    assert t._in == ref._in
+
+
 # The generators build their rows directly and skip the validating
 # constructors, so these tests hold every generator to what the validating
 # constructors build from its own output.

@@ -494,7 +494,7 @@ def test_embed_tournament_installs_all_arcs():
     g = random_tournament(5, seed=8)
     t = LazyTarget(4, 6)
     assert pipeline._valid(g, t, embed(g, t))
-    assert len(t.fixed_arcs()) == 10
+    assert t.to_oriented_graph().arc_count == 10
 
 
 def test_embed_restricted_pool():
@@ -884,7 +884,7 @@ def _pinned_record(g: OrientedGraph, target) -> list:
     except Exception as exc:  # the error's type and message are pinned too
         return [type(exc).__name__, str(exc)]
     if isinstance(target, LazyTarget):
-        state = [[target.class_of(v) for v in range(target.vertex_count)], target.fixed_arcs()]
+        state = [[target.class_of(v) for v in range(target.vertex_count)], target.to_oriented_graph().arcs()]
     else:
         state = pool_arcs(target)
     return [

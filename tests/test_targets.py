@@ -267,6 +267,17 @@ def test_sample_full_domain_gate():
         sample_full(5, 1)
 
 
+def test_sample_full_refuses_before_drawing_a_coin(monkeypatch):
+    # k = 20 needs more verify checks than the budget allows: the refusal
+    # comes before the first attempt, so no coin is drawn and no row built
+    def refuse(self, count):
+        raise AssertionError("sample_full drew coins for a target it cannot verify")
+
+    monkeypatch.setattr(SplitMix64, "coin_bits", refuse)
+    with pytest.raises(BudgetExceeded, match=r"^verification needs ~532170240 checks, budget 20000000$"):
+        sample_full(20, 2)
+
+
 def test_sample_full_deterministic():
     a = sample_full(5, 2, seed=3)
     b = sample_full(5, 2, seed=3)
@@ -473,7 +484,7 @@ def test_restricted_orientation_matches_reference(name, data):
 # the lazy one
 QUERY_TARGETS = {
     "restricted": (lambda: build_restricted(cyclic_k44_target(1), 1), pool_arcs),
-    "lazy": (lambda: LazyTarget(3, 2), lambda t: (t.vertex_count, t.fixed_arcs())),
+    "lazy": (lambda: LazyTarget(3, 2), lambda t: (t.vertex_count, t.to_oriented_graph().arcs())),
 }
 
 
@@ -538,16 +549,16 @@ def test_targets_refuse_vertices_they_do_not_have(name):
 
 def test_lazy_minting_and_classes():
     t = LazyTarget(free_classes=3, pool_capacity=2)
-    p0 = t.mint_pool()
-    p1 = t.mint_pool()
-    assert t.class_of(p0) == 0 and t.class_of(p1) == 0
     with pytest.raises(CapacityExceeded):
-        t.mint_pool()
+        t.reserve_pool(3)
+    assert t.vertex_count == 0  # refused before any vertex is minted
+    p0, p1 = t.reserve_pool(2)
+    assert t.class_of(p0) == 0 and t.class_of(p1) == 0
 
 
 def test_lazy_pool_arcs():
     t = LazyTarget(2, 2)
-    a, b = t.mint_pool(), t.mint_pool()
+    a, b = t.reserve_pool(2)
     assert t.orientation(a, b) is None
     t.install_pool_arc(a, b)
     assert t.orientation(a, b) == 1
@@ -557,7 +568,7 @@ def test_lazy_pool_arcs():
 
 def test_lazy_query_respects_constraints():
     t = LazyTarget(3, 1)
-    p = t.mint_pool()
+    (p,) = t.reserve_pool(1)
     x = t.query(1, {p: 1})
     assert t.class_of(x) == 1
     assert t.orientation(x, p) == 1
@@ -568,7 +579,7 @@ def test_lazy_query_respects_constraints():
 
 def test_lazy_query_reuses_compatible_vertices():
     t = LazyTarget(2, 1)
-    p = t.mint_pool()
+    (p,) = t.reserve_pool(1)
     x = t.query(1, {p: 1})
     assert t.query(1, {p: 1}) == x
     z = t.query(1, {p: -1})
@@ -577,7 +588,7 @@ def test_lazy_query_reuses_compatible_vertices():
 
 def test_lazy_query_gates():
     t = LazyTarget(2, 1)
-    p = t.mint_pool()
+    (p,) = t.reserve_pool(1)
     x = t.query(1, {p: 1})
     with pytest.raises(ClassCollision):
         t.query(1, {x: 1})
@@ -601,7 +612,7 @@ def test_lazy_orientation_memo_is_stable():
 
 def test_lazy_same_class_never_adjacent():
     t = LazyTarget(2, 1)
-    p = t.mint_pool()
+    (p,) = t.reserve_pool(1)
     x = t.query(1, {p: 1})
     y = t.query(1, {p: -1})
     assert x != y
@@ -612,22 +623,21 @@ def test_lazy_replay_determinism():
     def drive():
         t = LazyTarget(4, 3)
         out = []
-        p = t.mint_pool()
-        q = t.mint_pool()
+        p, q = t.reserve_pool(2)
         t.install_pool_arc(q, p)
         for c in (1, 2, 3, 1):
             out.append(t.query(c, {p: 1, q: -1}))
         x, y = out[0], out[1]
         out.append(t.query(2, {x: -1}))
         out.append(t.orientation(x, y))
-        return out, t.fixed_arcs()
+        return out, t.to_oriented_graph().arcs()
 
     assert drive() == drive()
 
 
 def test_lazy_to_oriented_graph_consistent():
     t = LazyTarget(3, 2)
-    p = t.mint_pool()
+    (p,) = t.reserve_pool(1)
     x = t.query(1, {p: 1})
     y = t.query(2, {x: 1, p: -1})
     g = t.to_oriented_graph()
@@ -666,14 +676,9 @@ class _DictLazyTarget:
         self._minted.setdefault(c, []).append(v)
         return v
 
-    def mint_pool(self) -> int:
-        if len(self._minted.get(0, ())) >= self.pool_capacity:
-            raise CapacityExceeded(f"reserved pool holds only {self.pool_capacity} vertices")
-        return self._mint(0)
-
     def reserve_pool(self, count: int) -> list[int]:
         targets._check_pool_request(bool(self._minted.get(0)), count, self.pool_capacity)
-        return [self.mint_pool() for _ in range(count)]
+        return [self._mint(0) for _ in range(count)]
 
     def _get(self, a: int, b: int) -> int | None:
         key = (a, b) if a < b else (b, a)
@@ -745,11 +750,9 @@ def test_lazy_target_matches_dict_reference(free_classes, pool_capacity, data):
     for _ in range(20):
         V = old.vertex_count
         vertex = st.integers(min_value=-1, max_value=V)  # both ends one past the range
-        op = data.draw(st.sampled_from(["reserve_pool", "mint_pool", "install_pool_arc"] + ["query"] * 7))
+        op = data.draw(st.sampled_from(["reserve_pool", "install_pool_arc"] + ["query"] * 7))
         if op == "reserve_pool":
             args = (data.draw(st.integers(min_value=-1, max_value=pool_capacity + 1)),)
-        elif op == "mint_pool":
-            args = ()
         elif op == "install_pool_arc":
             args = (data.draw(vertex), data.draw(vertex))
         else:
@@ -768,7 +771,6 @@ def test_lazy_target_matches_dict_reference(free_classes, pool_capacity, data):
         assert [new.class_of(v) for v in range(V)] == [old.class_of(v) for v in range(V)]
         for c in range(-1, free_classes + 2):
             assert new.minted(c) == old.minted(c)
-        assert new.fixed_arcs() == old.fixed_arcs()
         g = new.to_oriented_graph()
         assert (g.n, sorted(g.arcs())) == (V, old.fixed_arcs())
         assert new._in == targets._transpose(new._out)
