@@ -8,7 +8,6 @@ same seed must reproduce the report byte for byte.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import time
 from dataclasses import dataclass
@@ -17,7 +16,7 @@ from .bounds import chi_lower_bound, extremal_clique_order, lambert_w0, surface_
 from .dipath import greedy_two_dipath, is_valid_two_dipath, two_dipath_palette_bound
 from .errors import OrichromeError
 from .generate import all_oriented_graphs, generate, random_oriented_graph
-from .graphs import degeneracy_ordering, is_oriented_clique
+from .graphs import canonical_json, degeneracy_ordering, is_oriented_clique
 from .oracles import (
     exact_oriented_chromatic,
     exact_two_dipath,
@@ -36,10 +35,6 @@ from .targets import (
 
 DEFAULT_SEED = 0
 _DENSITIES = (0.15, 0.3, 0.5, 0.8)
-
-
-def _dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 @dataclass
@@ -80,7 +75,7 @@ def criterion_1(seed: int = DEFAULT_SEED) -> CriterionResult:
             f"bundled target misses pattern {tuple(witness['signs'])} on pair "
             f"{tuple(witness['vertices'])}; {sizes}"
         )
-    report = _dumps(
+    report = canonical_json(
         {
             "bundled_target_certified": verified,
             "witness": witness,
@@ -119,7 +114,7 @@ def criterion_2(seed: int = DEFAULT_SEED) -> CriterionResult:
         f"N(5,2)={entry5['N']}, N(6,2)={entry6['N']}, failure bounds "
         f"{entry5['failure_bound']:.2e}/{entry6['failure_bound']:.2e}"
     )
-    report = _dumps({"k5": entry5, "k6": entry6})
+    report = canonical_json({"k5": entry5, "k6": entry6})
     return CriterionResult(2, "random target sampler at desk scale", passed, detail, report, elapsed)
 
 
@@ -145,7 +140,7 @@ def criterion_3(seed: int = DEFAULT_SEED) -> CriterionResult:
     elapsed = time.perf_counter() - t0
     passed = violations == 0 and invalid == 0 and elapsed < 30.0
     detail = f"500 instances, {violations} bound violations, {invalid} invalid colourings"
-    report = _dumps(
+    report = canonical_json(
         {"instances": 500, "violations": violations, "invalid": invalid, "max_palette": max_palette}
     )
     return CriterionResult(3, "greedy distance-2 palette bound", passed, detail, report, elapsed)
@@ -181,7 +176,7 @@ def criterion_4(seed: int = DEFAULT_SEED) -> CriterionResult:
     elapsed = time.perf_counter() - t0
     passed = sandwich_bad == 0 and clique_bad == 0 and witness_bad == 0 and elapsed < 300.0
     detail = f"{checked} graphs, {sandwich_bad + clique_bad + witness_bad} oracle disagreements"
-    report = _dumps(
+    report = canonical_json(
         {
             "checked": checked,
             "sandwich_violations": sandwich_bad,
@@ -209,7 +204,7 @@ def criterion_5(seed: int = DEFAULT_SEED) -> CriterionResult:
         f"f(3)={f3.value}, f(4)={f4.value}, "
         f"5-vertex witness arcs={w5.witness.arc_count if w5 else None}"
     )
-    report = _dumps(
+    report = canonical_json(
         {
             "f3": f3.value,
             "f4": f4.value,
@@ -245,7 +240,7 @@ def criterion_6(seed: int = DEFAULT_SEED) -> CriterionResult:
         f"genus 11..100000 chain violations {chain_bad}; "
         f"W0 residual/inequality failures {residual_bad}/{inequality_bad}"
     )
-    report = _dumps(
+    report = canonical_json(
         {
             "genus_checked": 99990,
             "chain_violations": chain_bad,
@@ -292,12 +287,12 @@ def run_pipeline_batch(seed: int = DEFAULT_SEED, use_cache: bool = True) -> list
             records.append({"entry": entry, "result": None})
             continue
         prefix = min(surface_parameters(genus).reserved_capacity, res.core_size)
-        structure_ok = all(c >= 1 for c in res.replay_classes.values())
-        for pos, v in enumerate(res.core_ordering):
-            if pos < prefix:
-                structure_ok &= res.core_classes[v] == 0 and v in set(res.pool_vertices)
-            else:
-                structure_ok &= res.core_classes[v] == res.psi_colours[v]
+        structure_ok = res.core_ordering[:prefix] == res.pool_vertices
+        # the pool in class 0, later core vertices in their psi class, replayed ones in a free class
+        expected = (res.psi_colours or {}) | dict.fromkeys(res.pool_vertices, 0)
+        for v, x in res.mapping.items():
+            c = res.target.class_of(x)
+            structure_ok &= c == expected[v] if v in expected else c >= 1
         entry.update(
             {
                 "valid": res.valid,
@@ -326,7 +321,7 @@ def criterion_7(seed: int = DEFAULT_SEED, fresh: bool = False) -> CriterionResul
     elapsed = time.perf_counter() - t0
     passed = invalid == 0 and structure_bad == 0 and elapsed < 300.0
     detail = f"200 instances, {invalid} invalid, {structure_bad} class-structure breaks"
-    report = _dumps([r["entry"] for r in records])
+    report = canonical_json([r["entry"] for r in records])
     return CriterionResult(7, "surface pipeline soundness", passed, detail, report, elapsed)
 
 
@@ -365,7 +360,7 @@ def criterion_8(seed: int = DEFAULT_SEED) -> CriterionResult:
     )
     if missing:
         detail += f", {missing} runs without a result"
-    report = _dumps(
+    report = canonical_json(
         {
             "cores": len(records),
             "nonempty_cores": nonempty,
@@ -386,7 +381,7 @@ def criterion_9(seed: int = DEFAULT_SEED) -> CriterionResult:
     elapsed = time.perf_counter() - t0
     passed = sampler_same and pipeline_same
     detail = f"sampler identical: {sampler_same}; pipeline identical: {pipeline_same}"
-    report = _dumps(
+    report = canonical_json(
         {"sampler_reports_identical": sampler_same, "pipeline_reports_identical": pipeline_same}
     )
     return CriterionResult(9, "byte-identical reruns", passed, detail, report, elapsed)

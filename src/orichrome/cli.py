@@ -11,7 +11,6 @@ declares its own status as ``exit_status``.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -19,7 +18,7 @@ from .acceptance import run_all
 from .bounds import bounds_table
 from .errors import OrichromeError, PreconditionViolated
 from .generate import GEN_KINDS, generate
-from .graphs import graph_from_json, graph_to_json, parse_edge_list, serialize_edge_list
+from .graphs import canonical_json, graph_from_json, graph_to_json, parse_edge_list, serialize_edge_list
 from .oracles import exact_oriented_chromatic, exact_two_dipath
 from .pipeline import colour_surface_graph
 from .targets import (
@@ -32,12 +31,8 @@ from .targets import (
 )
 
 
-def _dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
 def _emit(obj) -> None:
-    sys.stdout.write(_dumps(obj) + "\n")
+    sys.stdout.write(canonical_json(obj) + "\n")
 
 
 def _resolve_seed(value: int | None) -> int:

@@ -260,15 +260,23 @@ def all_tournaments(n: int) -> list[OrientedGraph]:
 # -- dispatcher ----------------------------------------------------------------
 
 
-GEN_KINDS = (
-    "complete-tournament",
-    "transitive-tournament",
-    "directed-cycle",
-    "toroidal-grid",
-    "stacked-triangulation",
-    "planar-sparse",
-    "random-oriented",
-)
+# kind -> builder from (need, seed, params); the order is the CLI's choice list
+_GENERATORS = {
+    "complete-tournament": lambda need, seed, params: random_tournament(need("n"), seed),
+    "transitive-tournament": lambda need, seed, params: transitive_tournament(need("n")),
+    "directed-cycle": lambda need, seed, params: directed_cycle(need("n")),
+    "toroidal-grid": lambda need, seed, params: toroidal_grid(need("rows"), need("cols"), seed),
+    "stacked-triangulation": lambda need, seed, params: random_orientation(
+        stacked_triangulation(need("n"), seed), derive_seed(seed, 1)
+    ),
+    "planar-sparse": lambda need, seed, params: random_orientation(
+        planar_sparse_graph(need("n"), seed), derive_seed(seed, 1)
+    ),
+    "random-oriented": lambda need, seed, params: random_oriented_graph(
+        need("n"), seed, params.get("density", 0.5)
+    ),
+}
+GEN_KINDS = tuple(_GENERATORS)
 
 
 def generate(kind: str, seed: int = 0, **params) -> OrientedGraph:
@@ -285,7 +293,7 @@ def generate(kind: str, seed: int = 0, **params) -> OrientedGraph:
             raise DomainError(f"graph kind {kind!r} needs the parameter {name!r}")
         return params[name]
 
-    if kind not in GEN_KINDS:
+    if kind not in _GENERATORS:
         raise ValueError(f"unknown graph kind {kind!r}")
     if kind == "toroidal-grid":
         # two negative sides are the grid's own ValueError, not a large grid
@@ -294,16 +302,4 @@ def generate(kind: str, seed: int = 0, **params) -> OrientedGraph:
         order = need("n")
     if order > _MAX_FILE_VERTICES:
         raise TooLarge(f"{kind} with {order} vertices; the limit is {_MAX_FILE_VERTICES}")
-    if kind == "complete-tournament":
-        return random_tournament(need("n"), seed)
-    if kind == "transitive-tournament":
-        return transitive_tournament(need("n"))
-    if kind == "directed-cycle":
-        return directed_cycle(need("n"))
-    if kind == "toroidal-grid":
-        return toroidal_grid(need("rows"), need("cols"), seed)
-    if kind == "stacked-triangulation":
-        return random_orientation(stacked_triangulation(need("n"), seed), derive_seed(seed, 1))
-    if kind == "planar-sparse":
-        return random_orientation(planar_sparse_graph(need("n"), seed), derive_seed(seed, 1))
-    return random_oriented_graph(need("n"), seed, params.get("density", 0.5))
+    return _GENERATORS[kind](need, seed, params)

@@ -376,8 +376,14 @@ def serialize_edge_list(g: OrientedGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def canonical_json(obj) -> str:
+    """The one JSON layout every writer uses: sorted keys, no spaces, so
+    equal objects give equal bytes."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
 def graph_to_json(g: OrientedGraph) -> str:
-    return json.dumps({"n": g.n, "arcs": g.arcs()}, sort_keys=True, separators=(",", ":"))
+    return canonical_json({"n": g.n, "arcs": g.arcs()})
 
 
 def graph_from_json(text: str) -> OrientedGraph:

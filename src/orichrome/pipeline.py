@@ -13,7 +13,6 @@ degree check and the stripped back-degree check.
 
 from __future__ import annotations
 
-import json
 from bisect import insort
 from collections import Counter
 from dataclasses import dataclass
@@ -32,7 +31,7 @@ from .errors import (
     InvariantViolation,
     NotReduced,
 )
-from .graphs import OrientedGraph, _transpose, degeneracy_ordering
+from .graphs import OrientedGraph, _transpose, canonical_json, degeneracy_ordering
 from .targets import LazyTarget
 
 
@@ -348,23 +347,19 @@ class PipelineResult:
     core_vertices: tuple[int, ...]
     core_ordering: tuple[int, ...]
     pool_vertices: tuple[int, ...]
-    core_classes: dict[int, int]
     psi_colours: dict[int, int] | None
-    replay_classes: dict[int, int]
     ledger: ChargeLedger | None
     debug_checks: int
 
     def to_json(self) -> str:
-        return json.dumps(
+        return canonical_json(
             {
                 "valid": self.valid,
                 "colours_used": self.colours_used,
                 "reduction_steps": self.reduction_steps,
                 "core_size": self.core_size,
                 "psi_palette": self.psi_palette,
-            },
-            sort_keys=True,
-            separators=(",", ":"),
+            }
         )
 
 
@@ -428,12 +423,10 @@ def colour_surface_graph(g: OrientedGraph, genus: int, target=None) -> PipelineR
                 )
             for v in queried:
                 mapping[v] = target.query(psi_colours[v], _constraints(mapping, nb[v], sorted(nb[v])))
-    core_classes = {v: target.class_of(x) for v, x in mapping.items()}
 
     # replay the peeling in reverse on the reducer's final work graph, with
     # the class of every image placed so far kept beside the mapping
-    replay_classes: dict[int, int] = {}
-    classes = {mapping[v]: c for v, c in core_classes.items()}
+    classes = {x: target.class_of(x) for x in mapping.values()}
     query, orientation = target.query, target.orientation
     free = range(1, target.free_classes + 1)
 
@@ -449,7 +442,7 @@ def colour_surface_graph(g: OrientedGraph, genus: int, target=None) -> PipelineR
         else:
             raise CapacityExceeded(f"all {target.free_classes} free classes collide with constraint images")
         mapping[v] = x = query(c, constraints)
-        classes[x] = replay_classes[v] = c
+        classes[x] = c
 
     def check(v: int, nv: list[int]) -> int:
         """Check each arc between v and its sorted neighbours ``nv``, reported as (tail, head)."""
@@ -501,9 +494,7 @@ def colour_surface_graph(g: OrientedGraph, genus: int, target=None) -> PipelineR
         core_vertices=orig,
         core_ordering=core_ordering,
         pool_vertices=pool_vertices,
-        core_classes=core_classes,
         psi_colours=psi_colours,
-        replay_classes=replay_classes,
         ledger=ledger,
         debug_checks=debug_checks,
     )

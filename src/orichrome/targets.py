@@ -41,7 +41,7 @@ from .errors import (
     PreconditionViolated,
     RealizationError,
 )
-from .graphs import OrientedGraph, bits
+from .graphs import OrientedGraph, bits, canonical_json
 from .rng import SplitMix64, derive_seed
 
 VERIFIER_VERSION = "1"
@@ -167,7 +167,7 @@ class FullTarget(_BitRows):
                 "verifier_version": VERIFIER_VERSION,
             },
         }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return canonical_json(payload)
 
     @classmethod
     def from_json(cls, text: str) -> "FullTarget":
@@ -464,9 +464,11 @@ def minimal_full_N(k: int, d: int, n_cap: int = 6) -> int | None:
 
     Scans N upward, trying every orientation of the complete k-partite graph.
     Returns None when all N up to the cap fail.  Tiny parameters only
-    (k <= 3, d <= 2, N <= 6); BudgetExceeded when 2^(cross pairs) would blow
-    the orientation budget.
+    (1 <= k <= 3, 1 <= d <= 2, N <= 6); BudgetExceeded when 2^(cross pairs)
+    would blow the orientation budget.
     """
+    if k < 1 or d < 1:
+        raise DomainError("need k, d >= 1")
     if k > 3 or d > 2 or n_cap > 6:
         raise DomainError("exhaustive search supports k <= 3, d <= 2, N <= 6")
     for N in range(1, n_cap + 1):
@@ -489,7 +491,7 @@ def _check_pool_request(in_use: bool, count: int, capacity: int) -> None:
     if count < 0:
         raise DomainError(f"cannot reserve {count} pool vertices")
     if in_use:
-        raise PreconditionViolated("reserved pool already carries arcs")
+        raise PreconditionViolated("reserved pool already in use")
     if count > capacity:
         raise CapacityExceeded(f"{count} vertices exceed the reserved pool capacity {capacity}")
 
@@ -544,6 +546,7 @@ class RestrictedTarget(_PoolRows):
         N, n = base.N, base.vertex_count
         lo = free_classes * N  # the first pool vertex
         self.pool: tuple[int, ...] = tuple(range(lo, n))
+        self._reserved = False  # whether reserve_pool has handed out a slot
         self._class_of = [v // N + 1 for v in range(lo)] + [0] * (n - lo)
         free = (1 << lo) - 1  # a pool vertex's cross pairs: the free classes
         cross = [((1 << n) - 1) ^ ((1 << N) - 1) << c * N for c in range(free_classes)]
@@ -559,9 +562,11 @@ class RestrictedTarget(_PoolRows):
         return len(self.pool)
 
     def reserve_pool(self, count: int) -> list[int]:
-        """The first ``count`` pool vertices; the pool must carry no arcs yet."""
+        """The first ``count`` pool vertices; the pool may hold no slot or arc yet."""
         lo = self.pool[0]  # a pool row has bits from lo up only for installed arcs
-        _check_pool_request(any(row >> lo for row in self._out[lo:]), count, self.pool_capacity)
+        in_use = self._reserved or any(row >> lo for row in self._out[lo:])
+        _check_pool_request(in_use, count, self.pool_capacity)
+        self._reserved = count > 0
         return list(self.pool[:count])
 
     def query(self, class_index: int, constraints: dict[int, int]) -> int:

@@ -106,6 +106,14 @@ def test_full_minimal_budget_exit(capsys):
     assert "BudgetExceeded" in err
 
 
+@pytest.mark.parametrize("k, d", [("2", "0"), ("0", "2"), ("-1", "1")])
+def test_full_minimal_refuses_k_or_d_below_1(capsys, k, d):
+    # refused before the scan, not by math.comb's ValueError or a vacuous N = 1
+    code, out, err = run(capsys, "full", "minimal", k, d)
+    assert (code, out) == (1, "")
+    assert err == "error: DomainError: need k, d >= 1\n"
+
+
 def test_full_sample_verify_round_trip(capsys, tmp_path):
     target_file = tmp_path / "t.json"
     code, out, _ = run(capsys, "full", "sample", "5", "2", "--seed", "1", "--out", str(target_file))

@@ -19,6 +19,7 @@ from orichrome import (
     transitive_tournament,
 )
 from orichrome.errors import TooLarge
+from orichrome.generate import GEN_KINDS
 from orichrome.graphs import OrientedGraph, SimpleGraph, degeneracy_ordering, serialize_edge_list
 from orichrome.rng import SplitMix64, derive_seed
 
@@ -212,6 +213,11 @@ _PINNED_DIGESTS = {
         "torus-70x70": "68bfb4794bb4d84e030943dcfe9ec79bea99165c56359be0abe79ebf4ca56421",
     },
 }
+
+
+def test_gen_kinds_keep_their_order():
+    # gen --help lists the kinds in this order, the order of _PINNED_SIZES
+    assert GEN_KINDS == tuple(_PINNED_SIZES)
 
 
 def _torus_triangulation(r: int) -> SimpleGraph:

@@ -537,10 +537,12 @@ def test_embed_pigeonhole(make_target):
 
 @pytest.mark.parametrize("make_target", POOLS.values(), ids=list(POOLS))
 def test_embed_requires_fresh_pool(make_target):
-    t = make_target()
-    embed(random_tournament(2, 1), t)
-    with pytest.raises(PreconditionViolated):
-        embed(random_tournament(2, 1), t)
+    # a pool that handed out a slot is in use, whether or not it carries an arc
+    for first in (random_tournament(2, 1), OrientedGraph(2)):
+        t = make_target()
+        embed(first, t)
+        with pytest.raises(PreconditionViolated, match=r"^reserved pool already in use$"):
+            embed(random_tournament(2, 1), t)
 
 
 @pytest.mark.parametrize("make_target", POOLS.values(), ids=list(POOLS))
@@ -749,7 +751,7 @@ def test_replay_keeps_image_classes():
     target = _CountingTarget(params.free_classes, params.reserved_capacity)
     res = colour_surface_graph(g, 2, target)
     assert res.valid and res.reduction_steps == g.n
-    assert target.class_of_calls <= len(res.core_classes) + len(set(res.mapping.values()))
+    assert target.class_of_calls <= res.core_size + len(set(res.mapping.values()))
 
 
 def test_pipeline_single_arc():
@@ -781,7 +783,7 @@ def test_pipeline_k7_embeds_in_pool():
     assert res.valid
     assert res.core_size == 7
     assert res.colours_used == 7
-    assert all(res.core_classes[v] == 0 for v in range(7))
+    assert all(res.target.class_of(res.mapping[v]) == 0 for v in range(7))
 
 
 def test_pipeline_detects_impossible_genus():
@@ -805,7 +807,7 @@ def test_pipeline_psi_classes_beyond_pool():
     prefix = set(res.core_ordering[:12])
     assert set(res.pool_vertices) == prefix
     for v in res.core_ordering[12:]:
-        assert res.core_classes[v] == res.psi_colours[v] >= 1
+        assert res.target.class_of(res.mapping[v]) == res.psi_colours[v] >= 1
 
 
 def test_pipeline_colours_at_least_oracle():
@@ -836,7 +838,8 @@ def test_pipeline_random_triangulations(seed, n, genus):
     res = colour_surface_graph(g, genus)
     assert res.valid
     params = surface_parameters(genus)
-    assert all(1 <= c <= params.free_classes for c in res.replay_classes.values())
+    replayed = set(res.mapping) - set(res.core_vertices)
+    assert all(1 <= res.target.class_of(res.mapping[v]) <= params.free_classes for v in replayed)
 
 
 def _torus_triangulation(r: int):
@@ -887,10 +890,12 @@ def _pinned_record(g: OrientedGraph, target) -> list:
         state = [[target.class_of(v) for v in range(target.vertex_count)], target.to_oriented_graph().arcs()]
     else:
         state = pool_arcs(target)
+    # the classes of the core vertices and of the replayed ones, read from the target
+    core, class_of = set(res.core_vertices), target.class_of
     return [
         sorted(res.mapping.items()),
-        sorted(res.core_classes.items()),
-        sorted(res.replay_classes.items()),
+        sorted((v, class_of(x)) for v, x in res.mapping.items() if v in core),
+        sorted((v, class_of(x)) for v, x in res.mapping.items() if v not in core),
         sorted(res.psi_colours.items()) if res.psi_colours is not None else None,
         res.core_ordering,
         res.pool_vertices,

@@ -53,3 +53,19 @@ def test_exports_have_a_library_caller():
     assert sorted(exported - used - EXPORTS_WITHOUT_CALLER.keys()) == []
     # the allowance holds only names that still need it
     assert sorted(EXPORTS_WITHOUT_CALLER.keys() - (exported - used)) == []
+
+
+def test_json_dumps_only_in_canonical_json():
+    # byte-identical output rests on one JSON layout, written in one place:
+    # every json.dumps (or a dumps imported by name) sits in graphs.canonical_json
+    sites, home = [], range(0)
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if path.name == "graphs.py" and isinstance(node, ast.FunctionDef) and node.name == "canonical_json":
+                home = range(node.lineno, node.end_lineno + 1)
+            name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", getattr(node, "name", None))
+            if name == "dumps":
+                sites.append((path.name, node.lineno))
+    assert [site for site in sites if site[0] != "graphs.py" or site[1] not in home] == []
+    assert home, "graphs.canonical_json is missing"
