@@ -23,7 +23,7 @@ from .oracles import (
     min_edge_oriented_clique,
     validate_homomorphism,
 )
-from .pipeline import colour_surface_graph
+from .pipeline import PipelineResult, colour_surface_graph
 from .rng import derive_seed
 from .targets import (
     cyclic_k66_target,
@@ -271,6 +271,16 @@ def _batch_instances(seed: int):
         yield i, family, genus, g, size
 
 
+def class_layout_ok(res: PipelineResult) -> bool:
+    """The pool in class 0 and later core vertices in their psi class, read at
+    their core-time images; every replayed vertex in a free class, at its final one."""
+    class_of, core_images = res.target.class_of, res.core_images
+    expected = (res.psi_colours or {}) | dict.fromkeys(res.pool_vertices, 0)
+    return {v: class_of(x) for v, x in core_images.items()} == expected and all(
+        class_of(x) >= 1 for v, x in res.mapping.items() if v not in core_images
+    )
+
+
 def run_pipeline_batch(seed: int = DEFAULT_SEED, use_cache: bool = True) -> list[dict]:
     """Colour the 200-instance corpus; records are reused by criteria 7 and 8."""
     if use_cache and seed in _batch_cache:
@@ -286,17 +296,10 @@ def run_pipeline_batch(seed: int = DEFAULT_SEED, use_cache: bool = True) -> list
             entry["error"] = type(exc).__name__
             records.append({"entry": entry, "result": None})
             continue
-        prefix = min(surface_parameters(genus).reserved_capacity, res.core_size)
-        structure_ok = res.core_ordering[:prefix] == res.pool_vertices
-        # the pool in class 0, later core vertices in their psi class, replayed ones in a free class
-        expected = (res.psi_colours or {}) | dict.fromkeys(res.pool_vertices, 0)
-        for v, x in res.mapping.items():
-            c = res.target.class_of(x)
-            structure_ok &= c == expected[v] if v in expected else c >= 1
         entry.update(
             {
                 "valid": res.valid,
-                "structure_ok": bool(structure_ok),
+                "structure_ok": class_layout_ok(res),
                 "colours_used": res.colours_used,
                 "reduction_steps": res.reduction_steps,
                 "core_size": res.core_size,

@@ -21,8 +21,8 @@ from heapq import heappop, heappush
 from itertools import combinations, compress
 from types import MappingProxyType
 
-from .bounds import surface_parameters
-from .dipath import DipathColouring, surface_two_dipath
+from .bounds import SurfaceParameters, surface_parameters
+from .dipath import surface_two_dipath
 from .errors import (
     CapacityExceeded,
     ConstraintConflict,
@@ -264,9 +264,9 @@ def discharge_check(core: OrientedGraph, genus: int) -> tuple[ChargeLedger, bool
     """Run the two transfer rules on a reduced core and check the degree cap.
 
     Every neighbour of a degree-4 vertex sends it 1/2; of a degree-5 vertex,
-    1/5.  On a reduced core all final charges are nonnegative regardless of
-    genus (asserted); the returned flag reports max degree <= 12g-12, and a
-    False flag means the caller's genus assertion is wrong.
+    1/5.  On a reduced core no final charge is negative, whatever the genus
+    (one that is raises InvariantViolation); the flag returned reports max
+    degree <= 12g-12, and False means the caller's genus assertion is wrong.
     """
     params = surface_parameters(genus)
     _check_reduced(core)
@@ -347,6 +347,7 @@ class PipelineResult:
     core_vertices: tuple[int, ...]
     core_ordering: tuple[int, ...]
     pool_vertices: tuple[int, ...]
+    core_images: dict[int, int]  # the core stage's mapping, before the replay re-maps any of it
     psi_colours: dict[int, int] | None
     ledger: ChargeLedger | None
     debug_checks: int
@@ -363,69 +364,54 @@ class PipelineResult:
         )
 
 
-def colour_surface_graph(g: OrientedGraph, genus: int, target=None) -> PipelineResult:
-    """Colour a genus-<=genus oriented graph into a class-structured target.
+def _discharge(core: OrientedGraph, params: SurfaceParameters) -> ChargeLedger | None:
+    """Discharge-check a non-empty core; a max degree beyond 12g-12 means a false genus assertion."""
+    if not core.n:
+        return None
+    ledger, max_degree_ok = discharge_check(core, params.genus)
+    if not max_degree_ok:
+        raise GenusAssumptionViolated(f"core max degree {core.max_degree()} exceeds {params.core_degree_limit}")
+    return ledger
 
-    Stages: reduce to a core; discharge-check the core (max degree beyond
-    12g-12 means the genus assertion is false); embed the first 6g
-    degeneracy-order vertices injectively into the reserved pool; map every
-    later core vertex into the class named by its distance-2 colour; then
-    replay the reduction backwards, re-inserting vertices (<= 3 constraints)
-    and edges (re-map the weak endpoint against <= 10 constraints, then the
-    low one against <= 5) into classes disjoint from their constraint images.
-    Every vertex is mapped against its mapped neighbours on the reducer's
-    work graph, and every arc a replay step touches is re-checked against
-    the target's realized orientations.
-    """
-    params = surface_parameters(genus)
-    if target is None:
-        target = LazyTarget(params.free_classes, params.reserved_capacity)
 
-    reduction = reduce_graph(g)
-    core, steps, wk = reduction.core, reduction.steps, reduction.work
-    orig = reduction.core_vertices
+def _map_core(target, reduction: ReductionResult, params: SurfaceParameters):
+    """Map the core, held by the work graph in input labels: the first 6g
+    degeneracy-order vertices injectively into the reserved pool, each later
+    one into the class of its distance-2 colour.  Returns the mapping, the
+    ordering, the pool vertices, psi's palette size and colours (0 and None
+    when the core fits the pool)."""
+    core, orig, wk, nb = reduction.core, reduction.core_vertices, reduction.work, reduction.work.nb
+    if not core.n:
+        return {}, (), (), 0, None
+    ordering = degeneracy_ordering(core)
+    core_ordering = tuple(orig[c] for c in ordering.order)
+    pool_vertices = core_ordering[: params.reserved_capacity]
+    mapping = _embed_pool(target, wk, pool_vertices)
+    if core.n == len(pool_vertices):
+        return mapping, core_ordering, pool_vertices, 0, None
+    try:
+        psi = surface_two_dipath(core, params.genus, ordering)
+    except DegeneracyViolation as exc:
+        raise GenusAssumptionViolated(f"degeneracy ordering breaks the genus promise: {exc}") from exc
+    psi_colours = {orig[c]: col for c, col in psi.colours.items()}
+    queried = core_ordering[len(pool_vertices):]
+    # the strip's colours sit on pool vertices, which are never queried
+    top = max(psi_colours[v] for v in queried)
+    if top > target.free_classes:
+        raise CapacityExceeded(f"core needs class {top}, the target has {target.free_classes} free classes")
+    for v in queried:
+        mapping[v] = target.query(psi_colours[v], _constraints(mapping, nb[v], sorted(nb[v])))
+    return mapping, core_ordering, pool_vertices, psi.palette_size, psi_colours
 
-    ledger = None
-    if core.n:
-        ledger, max_degree_ok = discharge_check(core, genus)
-        if not max_degree_ok:
-            raise GenusAssumptionViolated(
-                f"core max degree {core.max_degree()} exceeds {params.core_degree_limit}"
-            )
 
-    nb = wk.nb
-    mapping: dict[int, int] = {}
-    psi: DipathColouring | None = None
-    psi_colours: dict[int, int] | None = None
-    pool_vertices: tuple[int, ...] = ()
-    core_ordering: tuple[int, ...] = ()
-
-    # the work graph now holds exactly the core, in input labels
-    if core.n:
-        ordering = degeneracy_ordering(core)
-        core_ordering = tuple(orig[c] for c in ordering.order)
-        pool_vertices = core_ordering[: params.reserved_capacity]
-        mapping = _embed_pool(target, wk, pool_vertices)
-        if core.n > len(pool_vertices):
-            try:
-                psi = surface_two_dipath(core, genus, ordering)
-            except DegeneracyViolation as exc:
-                raise GenusAssumptionViolated(
-                    f"degeneracy ordering breaks the genus promise: {exc}"
-                ) from exc
-            psi_colours = {orig[c]: col for c, col in psi.colours.items()}
-            queried = core_ordering[len(pool_vertices):]
-            # the strip's colours sit on pool vertices, which are never queried
-            top = max(psi_colours[v] for v in queried)
-            if top > target.free_classes:
-                raise CapacityExceeded(
-                    f"core needs class {top}, the target has {target.free_classes} free classes"
-                )
-            for v in queried:
-                mapping[v] = target.query(psi_colours[v], _constraints(mapping, nb[v], sorted(nb[v])))
-
-    # replay the peeling in reverse on the reducer's final work graph, with
-    # the class of every image placed so far kept beside the mapping
+def _replay(target, reduction: ReductionResult, mapping: dict[int, int]) -> int:
+    """Replay the peeling in reverse on the final work graph, extending
+    ``mapping``: a vertex step against <= 3 constraints, an edge step's weak
+    endpoint against <= 10 and then its low one against <= 5, each into a
+    class disjoint from its constraint images.  Every arc a step touches is
+    re-checked against the target's realized orientations; returns the count."""
+    wk, nb = reduction.work, reduction.work.nb
+    # the class of every image placed so far, kept beside the mapping
     classes = {x: target.class_of(x) for x in mapping.values()}
     query, orientation = target.query, target.orientation
     free = range(1, target.free_classes + 1)
@@ -456,7 +442,7 @@ def colour_surface_graph(g: OrientedGraph, genus: int, target=None) -> PipelineR
         return len(nv)
 
     debug_checks = 0
-    for step in reversed(steps):
+    for step in reversed(reduction.steps):
         if step.kind == "remove-vertex":
             for a, b in step.completion:
                 wk.remove_pair(a, b)
@@ -481,19 +467,35 @@ def colour_surface_graph(g: OrientedGraph, genus: int, target=None) -> PipelineR
             debug_checks += check(w, nw)
             debug_checks += check(v, nv)
 
+    return debug_checks
+
+
+def colour_surface_graph(g: OrientedGraph, genus: int, target=None) -> PipelineResult:
+    """Colour a genus-<=genus oriented graph into a class-structured target in
+    stages: ``reduce_graph``, ``_discharge``, ``_map_core``, ``_replay``, ``_valid``.
+    Each vertex is mapped against its mapped neighbours on the reducer's work graph."""
+    params = surface_parameters(genus)
+    if target is None:
+        target = LazyTarget(params.free_classes, params.reserved_capacity)
+    reduction = reduce_graph(g)
+    ledger = _discharge(reduction.core, params)
+    core_images, core_ordering, pool_vertices, psi_palette, psi_colours = _map_core(target, reduction, params)
+    mapping = dict(core_images)
+    debug_checks = _replay(target, reduction, mapping)
     return PipelineResult(
         valid=_valid(g, target, mapping),
         colours_used=len(set(mapping.values())),
-        reduction_steps=len(steps),
-        core_size=core.n,
-        psi_palette=psi.palette_size if psi else 0,
+        reduction_steps=len(reduction.steps),
+        core_size=reduction.core.n,
+        psi_palette=psi_palette,
         genus=genus,
         mapping=mapping,
         target=target,
-        core=core,
-        core_vertices=orig,
+        core=reduction.core,
+        core_vertices=reduction.core_vertices,
         core_ordering=core_ordering,
         pool_vertices=pool_vertices,
+        core_images=core_images,
         psi_colours=psi_colours,
         ledger=ledger,
         debug_checks=debug_checks,

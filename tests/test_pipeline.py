@@ -43,6 +43,8 @@ from orichrome.errors import (
     PreconditionViolated,
 )
 from orichrome import dipath, oracles, pipeline
+from orichrome.acceptance import class_layout_ok
+from orichrome.generate import toroidal_grid_graph
 from orichrome.graphs import SimpleGraph, VertexOrdering, bits
 
 from conftest import cyclic_k44_target, pool_arcs
@@ -879,6 +881,48 @@ def _torus_with_trees(r: int, seed: int) -> OrientedGraph:
             arcs.append((n, parent) if rnd.random() < 0.5 else (parent, n))
             parent, n = rnd.choice((parent, n)), n + 1
     return OrientedGraph(n, arcs)
+
+
+def _torus_and_grid(seed: int) -> OrientedGraph:
+    """A 6x6 6-regular torus and a 5x5 toroidal grid joined by 3 random edges:
+    the grid peels by edge steps, and an edge step at a joining edge re-maps
+    its torus end, which stays in the core."""
+    rnd = random.Random(seed)
+    edges = _torus_triangulation(6).edges() + [(36 + a, 36 + b) for a, b in toroidal_grid_graph(5, 5).edges()]
+    edges += zip(rnd.sample(range(36), 3), rnd.sample(range(36, 61), 3))
+    return random_orientation(SimpleGraph(61, edges), seed)
+
+
+def test_class_layout_reads_core_classes_at_core_time():
+    # the layout check once read each core vertex's class at its final image,
+    # so every one of these valid runs read as a class-structure break
+    remapped = 0
+    for seed in range(40):
+        res = colour_surface_graph(_torus_and_grid(seed), 5)
+        assert res.valid and res.core_size == 36
+        assert class_layout_ok(res), seed
+        class_of = res.target.class_of
+        remapped += any(class_of(res.mapping[v]) != class_of(x) for v, x in res.core_images.items())
+    assert remapped
+
+
+def test_traced_stage_names_run_once(monkeypatch):
+    # bench/spans.py wraps these names on the pipeline module; a stage that
+    # bound one of them elsewhere would run unwrapped and read 0 in the bench
+    names = ("reduce_graph", "discharge_check", "degeneracy_ordering", "surface_two_dipath")
+    calls = dict.fromkeys(names, 0)
+
+    def counting(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(pipeline, name, counting(name, getattr(pipeline, name)))
+    assert colour_surface_graph(_torus_with_trees(6, 6), 2).valid
+    assert calls == dict.fromkeys(names, 1)
 
 
 def _pinned_record(g: OrientedGraph, target) -> list:
