@@ -48,6 +48,12 @@ VERIFIER_VERSION = "1"
 _DEFAULT_VERIFY_BUDGET = 20_000_000
 _DEFAULT_MINIMAL_BUDGET = 1 << 20
 _SAMPLE_ATTEMPTS = 32
+# verify_full's arity-2 scan ORs the first _HEAD_BLOCKS blocks of 8 members
+# (48 members) for every outside u, and the rest only for a u they leave
+# uncovered.  Not a tuning knob: in a fair random orientation a member
+# realises a given sign pair with probability 1/4, so 48 members all miss it
+# with probability (3/4)^48, about 1e-6 per pair.
+_HEAD_BLOCKS = 6
 # _BIT_DIGITS[t] maps a byte to b"1" when its bit t is set and to b"0"
 # otherwise; masks are rebuilt from such digits by int(digits, 2)
 _BIT_DIGITS = [bytes(48 + (x >> t & 1) for x in range(256)) for t in range(8)]
@@ -150,12 +156,12 @@ class FullTarget(_BitRows):
 
     def to_json(self) -> str:
         # pair u < v is bit sum_{w<u} (n-1-w) + (v-u-1): the upper-triangle
-        # rows in order, row u of length n-1-u
-        n = self.vertex_count
+        # rows in order, row u of length n-1-u, written as zero-filled binary
+        # digits from row n-2 (the highest) down; row n-1 is empty
+        n, out = self.vertex_count, self._out
         size = (n * (n - 1) // 2 + 7) // 8
-        total = 0
-        for u in range(n - 1, -1, -1):
-            total = (total << (n - 1 - u)) | (self._out[u] >> (u + 1))
+        digits = "".join(format(out[u] >> u + 1, f"0{n - 1 - u}b") for u in range(n - 2, -1, -1))
+        total = int(digits or "0", 2)
         payload = {
             "k": self.k,
             "d": self.d,
@@ -173,9 +179,12 @@ class FullTarget(_BitRows):
     def from_json(cls, text: str) -> "FullTarget":
         """Inverse of to_json; malformed text raises ParseError.
 
-        The arcs decode as one little-endian int cut into to_json's rows.
-        Bits of pairs inside a class, the padding bits of the last byte and
-        any bytes past them are ignored.
+        The arcs decode as one little-endian int, cut into to_json's rows by
+        ``_cut_rows`` in one pass over its binary digits.  Bits of pairs
+        inside a class, the padding bits of the last byte and any bytes past
+        them are ignored.  The certificate's ``verified``, when present, must
+        be true or false; the target loads certified only when it is true
+        and the verifier version matches.
         """
         try:
             obj = json.loads(text)
@@ -189,19 +198,21 @@ class FullTarget(_BitRows):
         cert = obj.get("certificate", {})
         if not isinstance(cert, dict):
             raise ParseError(f"certificate must be an object, got {cert!r}", 1)
+        verified = cert.get("verified", False)
+        if type(verified) is not bool:
+            raise ParseError(f"certificate's verified must be true or false, got {verified!r}", 1)
         n = k * N
         need = (n * (n - 1) // 2 + 7) // 8
         if len(raw) < need:
             raise ParseError(f"arcs field holds {len(raw)} bytes, a {k}x{N} target needs {need}", 1)
-        total = int.from_bytes(raw[:need], "little")
+        rows = _cut_rows(int.from_bytes(raw[:need], "little"), [n - 1 - u for u in range(n)])
         upper = []
-        for u in range(n):
+        for u, row in enumerate(rows):
             # row u holds v = u+1..n-1; the class of u ends before v = start
             start = (u // N + 1) * N
-            upper.append((total & ((1 << n - 1 - u) - 1)) >> start - u - 1 << start)
-            total >>= n - 1 - u
+            upper.append(row >> start - u - 1 << start)
         t = cls._from_out_masks(k, d, N, _with_lower(upper, N), obj.get("seed"))
-        t.certified = bool(cert.get("verified")) and cert.get("verifier_version") == VERIFIER_VERSION
+        t.certified = verified and cert.get("verifier_version") == VERIFIER_VERSION
         return t
 
 
@@ -276,6 +287,24 @@ def _transpose(rows: list[int]) -> list[int]:
         column_bytes = matrix[b::width][::-1]  # row n-1 first: the high digit
         columns += [int(column_bytes.translate(digits), 2) for digits in _BIT_DIGITS]
     return columns[:n]
+
+
+def _cut_rows(word: int, lengths: list[int]) -> list[int]:
+    """Consecutive fields of ``word``, lowest bits first: field i is the
+    ``lengths[i]`` bits above the first sum(lengths[:i]).  Bits above the
+    total length are ignored.
+
+    The word is written out once as binary digits and each field read back
+    from its slice, so the cost is linear in the total length, where
+    shifting the word once per field would be quadratic.
+    """
+    total = sum(lengths)
+    digits = format(word & ((1 << total) - 1), f"0{total}b")
+    fields = []
+    for length in lengths:
+        fields.append(int(digits[total - length : total] or "0", 2))
+        total -= length
+    return fields
 
 
 def _with_lower(upper: list[int], N: int) -> list[int]:
@@ -358,7 +387,11 @@ def verify_full(t: FullTarget):
     scan, the Four-Russians method on the class's Boolean Gram products:
     block subset-OR tables over the members' rows give, for each outside u,
     every v that each sign pair (u, v) is realised on, in two table lookups
-    per block of 8 members instead of one test per pair.
+    per block of 8 members instead of one test per pair.  Only the first
+    _HEAD_BLOCKS blocks are tabulated and ORed for every u; when they leave
+    some pair (u, v) unrealised, the remaining blocks' tables are built once
+    per class and ORed in before u's witness is sought.  The answer and the
+    witness are those of the scan over every block.
     """
     arity = _verify_arity(t.k, t.d, t.N)
 
@@ -378,17 +411,26 @@ def verify_full(t: FullTarget):
             base = (c - 1) * t.N
             outside_mask = ((1 << n) - 1) ^ full << base
             rows = [r | (outside_mask ^ r) << n for r in t._out[base : base + t.N]]
-            tables = _subset_or_tables(rows)
-            blocks = len(tables)
+            head = _subset_or_tables(rows[: 8 * _HEAD_BLOCKS])
+            tail = None  # the later blocks' tables, built for the first u the head leaves uncovered
+            blocks = (t.N + 7) // 8
             for u, p in zip(outside, plus):
                 pos = neg = 0
                 plus_bytes = p.to_bytes(blocks, "little")
                 minus_bytes = (full ^ p).to_bytes(blocks, "little")
-                for table, x, y in zip(tables, plus_bytes, minus_bytes):
+                for table, x, y in zip(head, plus_bytes, minus_bytes):
                     pos |= table[x]
                     neg |= table[y]
                 later = outside_mask >> u + 1 << u + 1
                 missed = later & ~(neg >> n & neg & pos >> n & pos)
+                if missed:
+                    # ORs only add bits, so the tail can only shrink missed
+                    if tail is None:
+                        tail = _subset_or_tables(rows[8 * _HEAD_BLOCKS :])
+                    for table, x, y in zip(tail, plus_bytes[_HEAD_BLOCKS:], minus_bytes[_HEAD_BLOCKS:]):
+                        pos |= table[x]
+                        neg |= table[y]
+                    missed = later & ~(neg >> n & neg & pos >> n & pos)
                 if missed:
                     v = (missed & -missed).bit_length() - 1
                     for cover, signs in ((neg >> n, (-1, -1)), (neg, (-1, 1)), (pos >> n, (1, -1)), (pos, (1, 1))):
@@ -428,12 +470,9 @@ def _orient_cross_pairs(k: int, N: int, word: int) -> list[int]:
     class after u's.
     """
     n = k * N
-    upper = []
-    for u in range(n):
-        start = (u // N + 1) * N
-        upper.append((word & ((1 << n - start) - 1)) << start)
-        word >>= n - start
-    return _with_lower(upper, N)
+    starts = [(u // N + 1) * N for u in range(n)]
+    rows = _cut_rows(word, [n - start for start in starts])
+    return _with_lower([row << start for row, start in zip(rows, starts)], N)
 
 
 def sample_full(k: int, d: int, seed: int = 0) -> FullTarget:

@@ -168,6 +168,7 @@ def _k44_payload(**changes):
         _k44_payload(N=0),
         _k44_payload(certificate=[]),
         _k44_payload(certificate="yes"),
+        _k44_payload(certificate={"verified": "false", "verifier_version": "1"}),
         '{"N":4,"arcs":"GAwnAA==","certificate":null,"d":2,"k":2}',
         DEEP_JSON,
     ],
@@ -178,6 +179,7 @@ def _k44_payload(**changes):
         "zero-class-size",
         "certificate-list",
         "certificate-string",
+        "verified-string",
         "certificate-null",
         "deep-nesting",
     ],

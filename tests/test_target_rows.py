@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from orichrome import FullTarget, sample_full
 from orichrome.errors import InvariantViolation
-from orichrome.targets import _orient_cross_pairs
+from orichrome.targets import _cut_rows, _orient_cross_pairs
 
 ks = st.integers(min_value=1, max_value=5)
 Ns = st.integers(min_value=1, max_value=12)
@@ -84,6 +84,15 @@ def _reference_init(k: int, N: int, arcs) -> list[int] | str:
     return out
 
 
+def _reference_cut(word: int, lengths: list[int]) -> list[int]:
+    """Fields of ``word``, lowest first, by masking each off and shifting it out."""
+    fields = []
+    for length in lengths:
+        fields.append(word & ((1 << length) - 1))
+        word >>= length
+    return fields
+
+
 def built(k: int, N: int, arcs) -> list[int] | str:
     try:
         return FullTarget(k, 1, N, arcs)._out
@@ -106,6 +115,31 @@ def test_orient_matches_reference(k, N, seed):
     for word in (random.Random(seed).getrandbits(pairs), 0, (1 << pairs) - 1):
         bits = iter([bool(word >> i & 1) for i in range(pairs)])
         assert _orient_cross_pairs(k, N, word) == _reference_orient(k, N, bits)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.lists(st.integers(min_value=0, max_value=70), max_size=12),
+    st.integers(min_value=0, max_value=80),
+    seeds,
+)
+def test_cut_rows_matches_shift_loop(lengths, above, seed):
+    # zero-length fields, and bits above the total length that must be ignored
+    total = sum(lengths)
+    for word in (random.Random(seed).getrandbits(total + above), 0, (1 << total + above) - 1):
+        assert _cut_rows(word, lengths) == _reference_cut(word, lengths)
+
+
+@pytest.mark.parametrize("k, N", [(1, 1), (1, 2), (1, 9), (2, 1)])
+def test_json_round_trip_of_degenerate_shapes(k, N):
+    # no cross pair (k = 1) or only one-bit and empty rows (N = 1)
+    pairs = len(cross_pairs(k, N))
+    for word in (0, (1 << pairs) - 1):
+        t = FullTarget._from_out_masks(k, 2, N, _orient_cross_pairs(k, N, word), None)
+        text = t.to_json()
+        loaded = FullTarget.from_json(text)
+        assert loaded._out == t._out
+        assert loaded.to_json() == text
 
 
 # -- from_json ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from orichrome.errors import (
     DomainError,
     InvalidClass,
     InvariantViolation,
+    ParseError,
     RealizationError,
 )
 from orichrome import targets
@@ -188,6 +189,48 @@ def test_arity_2_witnesses_match_naive_on_fixed_sample():
     assert any(N % 8 and w is True for N, w in seen)
 
 
+def _point(out: list[int], x: int, u: int, sign: int) -> None:
+    """Orient the pair (x, u) x -> u for sign +1 and u -> x for -1."""
+    a, b = (x, u) if sign == 1 else (u, x)
+    out[a] |= 1 << b
+    out[b] &= ~(1 << a)
+
+
+def test_arity_2_tail_blocks_match_naive(monkeypatch):
+    # the first 48 members of class c, its head blocks, all point the same
+    # way at an outside pair (u, v), so the head realises one of the pair's
+    # four sign pairs and leaves the other three to the N - 48 later members:
+    # some of those tails realise them, some do not
+    subset_or_tables = targets._subset_or_tables
+    tables_for = []  # how many member rows each _subset_or_tables call tabulates
+
+    def recording(rows):
+        tables_for.append(len(rows))
+        return subset_or_tables(rows)
+
+    monkeypatch.setattr(targets, "_subset_or_tables", recording)
+    rng = SplitMix64(derive_seed(0, 0x7A11))
+    outcomes = []
+    for i in range(24):
+        N = 49 + rng.randrange(24)
+        out = list(random_target(2, 2, N, i)._out)
+        c = 1 + rng.randrange(2)
+        other = (2 - c) * N
+        u = other + rng.randrange(N)
+        v = other + (u - other + 1 + rng.randrange(N - 1)) % N
+        su, sv = (2 * rng.randrange(2) - 1 for _ in range(2))
+        for x in range((c - 1) * N, (c - 1) * N + 48):
+            _point(out, x, u, su)
+            _point(out, x, v, sv)
+        t = FullTarget._from_out_masks(2, 2, N, out, None)
+        tables_for.clear()
+        expected = naive_verify(t)
+        assert witness_key(verify_full(t)) == expected, (i, N, c, u, v)
+        assert N - 48 in tables_for, "the tail blocks were never tabulated"
+        outcomes.append(expected is True)
+    assert set(outcomes) == {True, False}
+
+
 def test_points_at_matches_member_loop():
     for seed, (k, N) in enumerate([(2, 3), (3, 8), (4, 9), (5, 17)]):
         t = random_target(k, 2, N, seed)
@@ -224,6 +267,34 @@ def test_json_round_trip():
     assert t2.to_oriented_graph() == t.to_oriented_graph()
     data = json.loads(t.to_json())
     assert data["certificate"]["verified"]
+
+
+def _k44_with_certificate(certificate: dict) -> str:
+    payload = json.loads(cyclic_k44_target(1).to_json())
+    payload["certificate"] = certificate
+    return json.dumps(payload)
+
+
+@pytest.mark.parametrize("verified", ["false", "true", "yes", 0, 1, [0], None])
+def test_from_json_refuses_a_non_boolean_verified(verified):
+    text = _k44_with_certificate({"verified": verified, "verifier_version": targets.VERIFIER_VERSION})
+    with pytest.raises(ParseError, match="verified must be true or false"):
+        FullTarget.from_json(text)
+
+
+@pytest.mark.parametrize(
+    "certificate, certified",
+    [
+        ({"verified": True, "verifier_version": targets.VERIFIER_VERSION}, True),
+        ({"verified": False, "verifier_version": targets.VERIFIER_VERSION}, False),
+        ({"verified": True, "verifier_version": "0"}, False),
+        ({"verifier_version": targets.VERIFIER_VERSION}, False),
+        ({}, False),
+    ],
+    ids=["true", "false", "old-verifier", "verified-missing", "empty"],
+)
+def test_from_json_certified_only_by_true(certificate, certified):
+    assert FullTarget.from_json(_k44_with_certificate(certificate)).certified is certified
 
 
 @pytest.mark.parametrize(
