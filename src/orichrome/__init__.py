@@ -73,7 +73,6 @@ from .targets import (
     FullTarget,
     LazyTarget,
     RestrictedTarget,
-    build_restricted,
     cyclic_k66_target,
     failure_probability_bound,
     minimal_full_N,

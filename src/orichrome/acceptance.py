@@ -7,6 +7,7 @@ same seed must reproduce the report byte for byte.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import time
@@ -253,7 +254,6 @@ def criterion_6(seed: int = DEFAULT_SEED) -> CriterionResult:
 
 
 _FAMILIES = ("toroidal-grid", "stacked-triangulation", "planar-sparse")
-_batch_cache: dict[int, list[dict]] = {}
 
 
 def _batch_instances(seed: int):
@@ -281,10 +281,9 @@ def class_layout_ok(res: PipelineResult) -> bool:
     )
 
 
-def run_pipeline_batch(seed: int = DEFAULT_SEED, use_cache: bool = True) -> list[dict]:
+@functools.cache
+def run_pipeline_batch(seed: int) -> list[dict]:
     """Colour the 200-instance corpus; records are reused by criteria 7 and 8."""
-    if use_cache and seed in _batch_cache:
-        return _batch_cache[seed]
     records = []
     for i, family, genus, g, size in _batch_instances(seed):
         entry = {"index": i, "family": family, "genus": genus, "vertices": g.n}
@@ -308,15 +307,13 @@ def run_pipeline_batch(seed: int = DEFAULT_SEED, use_cache: bool = True) -> list
             }
         )
         records.append({"entry": entry, "result": res})
-    if use_cache:
-        _batch_cache[seed] = records
     return records
 
 
-def criterion_7(seed: int = DEFAULT_SEED, fresh: bool = False) -> CriterionResult:
+def criterion_7(seed: int = DEFAULT_SEED) -> CriterionResult:
     """200 bounded-genus inputs all colour validly with enforced class layout."""
     t0 = time.perf_counter()
-    records = run_pipeline_batch(seed, use_cache=not fresh)
+    records = run_pipeline_batch(seed)
     invalid = sum(1 for r in records if not r["entry"].get("valid"))
     structure_bad = sum(
         1 for r in records if r["result"] is not None and not r["entry"]["structure_ok"]
@@ -380,7 +377,9 @@ def criterion_9(seed: int = DEFAULT_SEED) -> CriterionResult:
     t0 = time.perf_counter()
     sampler_same = criterion_2(seed).report == criterion_2(seed).report
     # the first criterion 7 run may come from the batch cache; the rerun is fresh
-    pipeline_same = criterion_7(seed).report == criterion_7(seed, fresh=True).report
+    first = criterion_7(seed).report
+    run_pipeline_batch.cache_clear()
+    pipeline_same = first == criterion_7(seed).report
     elapsed = time.perf_counter() - t0
     passed = sampler_same and pipeline_same
     detail = f"sampler identical: {sampler_same}; pipeline identical: {pipeline_same}"
@@ -390,7 +389,7 @@ def criterion_9(seed: int = DEFAULT_SEED) -> CriterionResult:
     return CriterionResult(9, "byte-identical reruns", passed, detail, report, elapsed)
 
 
-def run_all(seed: int = DEFAULT_SEED, stream=None) -> list[CriterionResult]:
+def run_all(seed: int = DEFAULT_SEED) -> list[CriterionResult]:
     """Run criteria 1..9 in order, printing one PASS/FAIL line per criterion."""
     results = []
     for fn in (
@@ -406,5 +405,5 @@ def run_all(seed: int = DEFAULT_SEED, stream=None) -> list[CriterionResult]:
     ):
         res = fn(seed)
         results.append(res)
-        print(res.line(), file=stream)
+        print(res.line())
     return results

@@ -17,13 +17,13 @@ import sys
 from .acceptance import run_all
 from .bounds import bounds_table
 from .errors import OrichromeError, PreconditionViolated
-from .generate import GEN_KINDS, generate
+from .generate import _TOURNAMENT_CAP, GEN_KINDS, generate
 from .graphs import canonical_json, graph_from_json, graph_to_json, parse_edge_list, serialize_edge_list
 from .oracles import exact_oriented_chromatic, exact_two_dipath
 from .pipeline import colour_surface_graph
 from .targets import (
     FullTarget,
-    build_restricted,
+    RestrictedTarget,
     failure_probability_bound,
     minimal_full_N,
     sample_full,
@@ -116,7 +116,7 @@ def _cmd_colour(args) -> int:
         with open(args.target_file, "r", encoding="utf-8") as fh:
             base = FullTarget.from_json(fh.read())
         free = args.free_classes if args.free_classes is not None else base.k - 1
-        target = build_restricted(base, free)
+        target = RestrictedTarget(base, free)
     res = colour_surface_graph(g, args.g, target=target)
     sys.stdout.write(res.to_json() + "\n")
     return 0
@@ -142,7 +142,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    results = run_all(_resolve_seed(args.seed), stream=sys.stdout)
+    results = run_all(_resolve_seed(args.seed))
     return 0 if all(r.passed for r in results) else 1
 
 
@@ -171,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="exact oriented or distance-2 chromatic number")
     p.add_argument("which", choices=("chio", "chi2"))
     p.add_argument("input", help="graph file (edge list or JSON)")
-    p.add_argument("--k-max", type=int, default=7, dest="k_max")
+    p.add_argument("--k-max", type=int, default=_TOURNAMENT_CAP, dest="k_max")
     p.set_defaults(fn=_cmd_solve)
 
     p = sub.add_parser("full", help="sample, verify, or minimize multipartite targets")

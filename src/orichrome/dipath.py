@@ -139,7 +139,7 @@ def surface_two_dipath(
                 f"stripped graph has back-degree {back} at vertex {v}; "
                 f"inconsistent with Euler genus <= {genus}"
             )
-    inner = greedy_two_dipath(stripped, VertexOrdering(ordering.order, max(backs)))
+    inner = greedy_two_dipath(stripped, ordering)
     if not is_valid_two_dipath(stripped, inner.colours):
         raise InvalidInner("inner colouring is not a valid 2-dipath colouring of the stripped graph")
     # each strip vertex gets a fresh colour above greedy's palette, its

@@ -93,10 +93,30 @@ def toroidal_grid(rows: int, cols: int, seed: int = 0) -> OrientedGraph:
     return random_orientation(toroidal_grid_graph(rows, cols), seed)
 
 
-# The face-splitting generators below build neighbour lists in place.  Each
-# new vertex v is the largest label so far, so appending v keeps the corners'
-# rows sorted, and a face (a, b, c) with a < b < c splits into (a, b, v),
-# (a, c, v) and (b, c, v), which keeps every face sorted too.
+def _grow_faces(n: int, rng: SplitMix64, corners) -> SimpleGraph:
+    """Grow a triangle to n vertices, dropping each new vertex v into a
+    uniformly random face and joining it to ``corners(face)``, a sorted list
+    of that face's corners.  Joined to all three, v splits the face; joined
+    to fewer, it leaves the face usable for later insertions.
+
+    Each new vertex v is the largest label so far, so appending v keeps the
+    corners' rows sorted, and a face (a, b, c) with a < b < c splits into
+    (a, b, v), (a, c, v) and (b, c, v), which keeps every face sorted too.
+    """
+    adj = [[1, 2], [0, 2], [0, 1]]
+    faces = [(0, 1, 2)]
+    for v in range(3, n):
+        idx = rng.randrange(len(faces))
+        a, b, c = face = faces[idx]
+        chosen = corners(face)
+        for u in chosen:
+            adj[u].append(v)
+        adj.append(chosen)
+        if len(chosen) == 3:
+            faces[idx] = (a, b, v)
+            faces.append((a, c, v))
+            faces.append((b, c, v))
+    return SimpleGraph._from_rows(list(map(tuple, adj)))
 
 
 def stacked_triangulation(n: int, seed: int = 0) -> SimpleGraph:
@@ -108,20 +128,7 @@ def stacked_triangulation(n: int, seed: int = 0) -> SimpleGraph:
     """
     if n < 3:
         raise ValueError("stacked triangulation needs n >= 3")
-    rng = SplitMix64(derive_seed(seed, 0x7033))
-    adj = [[1, 2], [0, 2], [0, 1]]
-    faces = [(0, 1, 2)]
-    for v in range(3, n):
-        idx = rng.randrange(len(faces))
-        a, b, c = face = faces[idx]
-        adj[a].append(v)
-        adj[b].append(v)
-        adj[c].append(v)
-        adj.append(list(face))
-        faces[idx] = (a, b, v)
-        faces.append((a, c, v))
-        faces.append((b, c, v))
-    return SimpleGraph._from_rows(list(map(tuple, adj)))
+    return _grow_faces(n, SplitMix64(derive_seed(seed, 0x7033)), list)
 
 
 def planar_sparse_graph(n: int, seed: int = 0) -> SimpleGraph:
@@ -134,25 +141,14 @@ def planar_sparse_graph(n: int, seed: int = 0) -> SimpleGraph:
     if n < 3:
         raise ValueError("planar sparse graph needs n >= 3")
     rng = SplitMix64(derive_seed(seed, 0x7034))
-    adj = [[1, 2], [0, 2], [0, 1]]
-    faces = [(0, 1, 2)]
-    for v in range(3, n):
-        idx = rng.randrange(len(faces))
-        a, b, c = faces[idx]
+
+    def corners(face):
         arity = 1 + rng.randrange(3)
-        corners = [a, b, c]
-        rng.shuffle(corners)
-        chosen = sorted(corners[:arity])
-        for u in chosen:
-            adj[u].append(v)
-        adj.append(chosen)
-        if arity == 3:
-            # v subdivides the face; replace it by the three new ones
-            faces[idx] = (a, b, v)
-            faces.append((a, c, v))
-            faces.append((b, c, v))
-        # with arity < 3 the old face stays usable for later insertions
-    return SimpleGraph._from_rows(list(map(tuple, adj)))
+        shuffled = list(face)
+        rng.shuffle(shuffled)
+        return sorted(shuffled[:arity])
+
+    return _grow_faces(n, rng, corners)
 
 
 def random_oriented_graph(n: int, seed: int = 0, density: float = 0.5) -> OrientedGraph:

@@ -14,10 +14,9 @@ from itertools import combinations
 from typing import Mapping
 
 from .errors import CapExceeded
-from .generate import all_tournaments
+from .generate import _TOURNAMENT_CAP, all_tournaments
 from .graphs import OrientedGraph, SimpleGraph, bits, directed_square, is_oriented_clique
 
-_CHI_O_CAP = 7
 _TWO_DIPATH_CAP = 20
 _MIN_EDGE_CAP = 6
 
@@ -82,20 +81,18 @@ def _find_homomorphism(g: OrientedGraph, h: OrientedGraph, order: list[int]) -> 
     return (dict(phi) if found else None), nodes
 
 
-def exact_oriented_chromatic(g: OrientedGraph, k_max: int = _CHI_O_CAP) -> SolveResult | None:
+def exact_oriented_chromatic(g: OrientedGraph, k_max: int = _TOURNAMENT_CAP) -> SolveResult | None:
     """Least k <= k_max with a homomorphism into some k-vertex tournament.
 
     Any oriented target extends to a tournament on the same vertices, so
     searching tournaments only is complete.  Returns None when no k <= k_max
     admits a homomorphism.
     """
-    if k_max > _CHI_O_CAP:
-        raise CapExceeded(f"oriented chromatic search capped at k = {_CHI_O_CAP}")
+    if k_max > _TOURNAMENT_CAP:
+        raise CapExceeded(f"oriented chromatic search capped at k = {_TOURNAMENT_CAP}")
     order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
     total_nodes = 0
-    for k in range(min(k_max, g.n) + 1 if g.n else 1):
-        if k == 0 and g.n > 0:
-            continue
+    for k in range(min(k_max, g.n) + 1):
         for t in all_tournaments(k):
             phi, nodes = _find_homomorphism(g, t, order)
             total_nodes += nodes

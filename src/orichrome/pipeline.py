@@ -454,11 +454,9 @@ def _replay(target, reduction: ReductionResult, mapping: dict[int, int]) -> int:
         else:
             v, w = step.low_vertex, step.other
             nv, nw = sorted(nb[v]), sorted(nb[w])
-            # v and w are not adjacent here, so re-mapping w leaves v's constraints as they are
-            v_constraints = _constraints(mapping, nb[v], nv)
-            place(w, nw, {classes[x] for x in v_constraints})
-            if mapping[w] in v_constraints:
-                raise InvariantViolation(f"image {mapping[w]} of {w} already constrains {v}")
+            # v and w are not adjacent here, so re-mapping w leaves v's constraints
+            # as they are; w's class avoids their classes, so its image is none of them
+            place(w, nw, {classes[x] for x in _constraints(mapping, nb[v], nv)})
             wk.add_arc(*step.arc)
             # both lists gain the arc at its sorted place, so w's check covers it
             insort(nv, w)

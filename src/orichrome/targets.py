@@ -122,6 +122,7 @@ class FullTarget(_BitRows):
 
     __slots__ = ("k", "d", "N", "seed", "_out", "certified")
 
+    # the arc-list form is bench-only: bench/run.py:308 rebuilds each target from its arcs
     def __init__(self, k: int, d: int, N: int, arcs, seed: int | None = None):
         if k < 1 or N < 1 or d < 1:
             raise DomainError("need k, d, N >= 1")
@@ -184,7 +185,8 @@ class FullTarget(_BitRows):
         inside a class, the padding bits of the last byte and any bytes past
         them are ignored.  The certificate's ``verified``, when present, must
         be true or false; the target loads certified only when it is true
-        and the verifier version matches.
+        and the verifier version matches.  The seed must be an integer or
+        null (or absent).
         """
         try:
             obj = json.loads(text)
@@ -195,6 +197,9 @@ class FullTarget(_BitRows):
             raise ParseError(f"bad target JSON: {exc!r}", 1) from None
         if not all(type(x) is int and x >= 1 for x in (k, d, N)):
             raise ParseError(f"k, d, N must be positive integers, got {k!r}, {d!r}, {N!r}", 1)
+        seed = obj.get("seed")
+        if seed is not None and type(seed) is not int:
+            raise ParseError(f"seed must be an integer or null, got {seed!r}", 1)
         cert = obj.get("certificate", {})
         if not isinstance(cert, dict):
             raise ParseError(f"certificate must be an object, got {cert!r}", 1)
@@ -211,7 +216,7 @@ class FullTarget(_BitRows):
             # row u holds v = u+1..n-1; the class of u ends before v = start
             start = (u // N + 1) * N
             upper.append(row >> start - u - 1 << start)
-        t = cls._from_out_masks(k, d, N, _with_lower(upper, N), obj.get("seed"))
+        t = cls._from_out_masks(k, d, N, _with_lower(upper, N), seed)
         t.certified = verified and cert.get("verifier_version") == VERIFIER_VERSION
         return t
 
@@ -632,9 +637,10 @@ class RestrictedTarget(_PoolRows):
                 )
         return (mask & -mask).bit_length() - 1
 
-    realizer = query  # older name, still called and traced by bench/
+    realizer = query  # bench-only alias: bench/run.py:310 calls it, bench/spans.py:114 traces it
 
 
+# bench-only: bench/run.py:309 calls it and bench/spans.py:110 traces it
 def build_restricted(base: FullTarget, free_classes: int) -> RestrictedTarget:
     """Merge the classes above ``free_classes`` into the reserved pool."""
     return RestrictedTarget(base, free_classes)

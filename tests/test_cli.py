@@ -80,6 +80,15 @@ def test_solve_parse_error_exit(capsys, tmp_path):
     assert "ParseError" in err
 
 
+@pytest.mark.parametrize("k_max, value", [("-1", None), ("0", 0)])
+def test_solve_chio_empty_graph_respects_k_max(capsys, tmp_path, k_max, value):
+    f = tmp_path / "empty.og"
+    f.write_text("0 0\n")
+    code, out, _ = run(capsys, "solve", "chio", str(f), "--k-max", k_max)
+    assert code == 0
+    assert json.loads(out)["value"] == value
+
+
 def test_solve_missing_file_exit(capsys):
     code, _, _ = run(capsys, "solve", "chio", "/nonexistent/zzz.og")
     assert code == 1
@@ -169,6 +178,7 @@ def _k44_payload(**changes):
         _k44_payload(certificate=[]),
         _k44_payload(certificate="yes"),
         _k44_payload(certificate={"verified": "false", "verifier_version": "1"}),
+        _k44_payload(seed=[1, {"x": 2}]),
         '{"N":4,"arcs":"GAwnAA==","certificate":null,"d":2,"k":2}',
         DEEP_JSON,
     ],
@@ -180,6 +190,7 @@ def _k44_payload(**changes):
         "certificate-list",
         "certificate-string",
         "verified-string",
+        "seed-list",
         "certificate-null",
         "deep-nesting",
     ],

@@ -45,8 +45,15 @@ def test_hub_hexagon_value(hub_hexagon):
 
 
 def test_cap_gate():
-    with pytest.raises(CapExceeded):
+    with pytest.raises(CapExceeded, match="^oriented chromatic search capped at k = 7$"):
         exact_oriented_chromatic(OrientedGraph(2, [(0, 1)]), k_max=8)
+
+
+def test_empty_graph_respects_k_max():
+    # the empty graph maps into the empty tournament, which a cap below 0 excludes
+    assert exact_oriented_chromatic(OrientedGraph(0)).value == 0
+    assert exact_oriented_chromatic(OrientedGraph(0), k_max=0).value == 0
+    assert exact_oriented_chromatic(OrientedGraph(0), k_max=-1) is None
 
 
 def test_none_when_cap_too_tight():

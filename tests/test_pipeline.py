@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 from orichrome import (
     LazyTarget,
     OrientedGraph,
+    RestrictedTarget,
     back_degrees,
-    build_restricted,
     colour_surface_graph,
     cyclic_k66_target,
     degeneracy_ordering,
@@ -502,7 +502,7 @@ def test_embed_tournament_installs_all_arcs():
 def test_embed_restricted_pool():
     base = cyclic_k44_target(1)
     verify_full(base)
-    r = build_restricted(base, 1)
+    r = RestrictedTarget(base, 1)
     g = random_tournament(4, seed=9)
     mapping = embed(g, r)
     assert pipeline._valid(g, r, mapping)
@@ -513,7 +513,7 @@ def test_embed_restricted_pool():
 # both pools hold four vertices
 POOLS = {
     "lazy": lambda: LazyTarget(4, 4),
-    "restricted": lambda: build_restricted(cyclic_k44_target(1), 1),
+    "restricted": lambda: RestrictedTarget(cyclic_k44_target(1), 1),
 }
 
 
@@ -966,8 +966,8 @@ def _pinned_runs() -> tuple[list[OrientedGraph], dict]:
     sampled, k66 = sample_full(5, 2, seed=1), cyclic_k66_target()
     targets = {
         "lazy": lambda: LazyTarget(params.free_classes, params.reserved_capacity),
-        "sampled-5-2": lambda: build_restricted(sampled, 4),
-        "k66-1": lambda: build_restricted(k66, 1),
+        "sampled-5-2": lambda: RestrictedTarget(sampled, 4),
+        "k66-1": lambda: RestrictedTarget(k66, 1),
     }
     return graphs, targets
 

@@ -69,3 +69,27 @@ def test_json_dumps_only_in_canonical_json():
                 sites.append((path.name, node.lineno))
     assert [site for site in sites if site[0] != "graphs.py" or site[1] not in home] == []
     assert home, "graphs.canonical_json is missing"
+
+
+# bench/ still calls build_restricted, RestrictedTarget.realizer and the
+# arc-list FullTarget(k, d, N, arcs); the library builds RestrictedTarget(base,
+# free_classes) directly, queries with query, and makes FullTargets from out-rows
+BENCH_ONLY = {"build_restricted", "realizer"}
+
+
+def test_bench_only_names_have_no_library_caller():
+    sites = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and node.id in BENCH_ONLY and not isinstance(node.ctx, ast.Store):
+                sites.append((path.name, node.lineno, node.id))
+            elif isinstance(node, ast.Attribute) and node.attr in BENCH_ONLY:
+                sites.append((path.name, node.lineno, node.attr))
+            elif isinstance(node, ast.ImportFrom):
+                sites += [(path.name, node.lineno, a.name) for a in node.names if a.name in BENCH_ONLY]
+            elif isinstance(node, ast.Call):
+                func = node.func
+                if getattr(func, "id", getattr(func, "attr", None)) == "FullTarget":
+                    sites.append((path.name, node.lineno, "FullTarget(...)"))
+    assert sites == []

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from orichrome import (
     FullTarget,
     LazyTarget,
-    build_restricted,
+    RestrictedTarget,
     cyclic_k66_target,
     failure_probability_bound,
     minimal_full_N,
@@ -282,6 +282,23 @@ def test_from_json_refuses_a_non_boolean_verified(verified):
         FullTarget.from_json(text)
 
 
+@pytest.mark.parametrize("seed", [[1, {"x": 2}], "7", 1.5, True])
+def test_from_json_refuses_a_seed_neither_int_nor_null(seed):
+    payload = json.loads(cyclic_k44_target(1).to_json())
+    payload["seed"] = seed
+    with pytest.raises(ParseError, match="seed must be an integer or null"):
+        FullTarget.from_json(json.dumps(payload))
+
+
+@pytest.mark.parametrize("seed", [None, 0, -3, 2**70])
+def test_from_json_keeps_int_and_null_seeds(seed):
+    payload = json.loads(cyclic_k44_target(1).to_json())
+    payload["seed"] = seed
+    t = FullTarget.from_json(json.dumps(payload))
+    assert t.seed == seed
+    assert json.loads(t.to_json()) == payload
+
+
 @pytest.mark.parametrize(
     "certificate, certified",
     [
@@ -390,7 +407,7 @@ def test_minimal_domain_gate():
 def test_restricted_pool_layout():
     t = cyclic_k44_target(1)
     verify_full(t)
-    r = build_restricted(t, 1)
+    r = RestrictedTarget(t, 1)
     assert r.pool == (4, 5, 6, 7)
     assert r.pool_capacity == 4
     assert r.class_of(0) == 1 and r.class_of(5) == 0
@@ -399,7 +416,7 @@ def test_restricted_pool_layout():
 
 
 def test_restricted_pool_arcs():
-    r = build_restricted(cyclic_k44_target(1), 1)
+    r = RestrictedTarget(cyclic_k44_target(1), 1)
     r.install_pool_arc(5, 4)
     assert r.orientation(5, 4) == 1
     assert r.orientation(4, 5) == -1
@@ -412,29 +429,29 @@ def test_restricted_pool_arcs():
 def test_restricted_realizer():
     t = cyclic_k44_target(1)
     verify_full(t)
-    r = build_restricted(t, 1)
-    x = r.realizer(1, {4: 1})
+    r = RestrictedTarget(t, 1)
+    x = r.query(1, {4: 1})
     assert r.class_of(x) == 1
     assert t.orientation(x, 4) == 1
-    y = r.realizer(1, {4: -1})
+    y = r.query(1, {4: -1})
     assert t.orientation(y, 4) == -1
 
 
 def test_restricted_realizer_gates():
     t = cyclic_k44_target(1)
     verify_full(t)
-    r = build_restricted(t, 1)
+    r = RestrictedTarget(t, 1)
     with pytest.raises(ArityExceeded):
-        r.realizer(1, {4: 1, 5: 1})
+        r.query(1, {4: 1, 5: 1})
     with pytest.raises(ClassCollision):
-        r.realizer(1, {0: 1})
+        r.query(1, {0: 1})
     with pytest.raises(InvalidClass):
-        r.realizer(2, {0: 1})
+        r.query(2, {0: 1})
 
 
 def test_restricted_needs_free_class():
     with pytest.raises(DomainError):
-        build_restricted(cyclic_k44_target(1), 2)
+        RestrictedTarget(cyclic_k44_target(1), 2)
 
 
 def _reference_query(r, cache: dict, class_index: int, constraints: dict[int, int]) -> int:
@@ -474,7 +491,7 @@ def _query_bases() -> dict[str, FullTarget]:
 def test_restricted_query_matches_dict_reference(name, data):
     base = _query_bases()[name]
     certified = base.certified
-    r = build_restricted(base, data.draw(st.integers(min_value=1, max_value=base.k - 1)))
+    r = RestrictedTarget(base, data.draw(st.integers(min_value=1, max_value=base.k - 1)))
     n, N = base.vertex_count, base.N
     signs = st.sampled_from((1, -1, 0, 2))
     reference = partial(_reference_query, r, {})
@@ -529,7 +546,7 @@ def _reference_orientation(r, installed: set, a: int, b: int) -> int | None:
 @given(st.sampled_from(["k66", "k5"]), st.data())
 def test_restricted_orientation_matches_reference(name, data):
     base = _query_bases()[name]
-    r = build_restricted(base, data.draw(st.integers(min_value=1, max_value=base.k - 1)))
+    r = RestrictedTarget(base, data.draw(st.integers(min_value=1, max_value=base.k - 1)))
     n, N = base.vertex_count, base.N
     pool = st.sampled_from(r.pool)
     installed = set()
@@ -554,7 +571,7 @@ def test_restricted_orientation_matches_reference(name, data):
 # arcs for the restricted target, minted vertices and fixed orientations for
 # the lazy one
 QUERY_TARGETS = {
-    "restricted": (lambda: build_restricted(cyclic_k44_target(1), 1), pool_arcs),
+    "restricted": (lambda: RestrictedTarget(cyclic_k44_target(1), 1), pool_arcs),
     "lazy": (lambda: LazyTarget(3, 2), lambda t: (t.vertex_count, t.to_oriented_graph().arcs())),
 }
 
@@ -597,10 +614,10 @@ OUTSIDE_CALLS = {
     "full-class_of": (cyclic_k66_target, lambda t: t.class_of(-1), -1, 11),
     "full-orientation": (cyclic_k66_target, lambda t: t.orientation(-1, 0), -1, 11),
     "restricted-class_of": (
-        lambda: build_restricted(cyclic_k66_target(), 1), lambda t: t.class_of(12), 12, 11
+        lambda: RestrictedTarget(cyclic_k66_target(), 1), lambda t: t.class_of(12), 12, 11
     ),
     "restricted-orientation": (
-        lambda: build_restricted(cyclic_k66_target(), 1), lambda t: t.orientation(-1, 0), -1, 11
+        lambda: RestrictedTarget(cyclic_k66_target(), 1), lambda t: t.orientation(-1, 0), -1, 11
     ),
     "lazy-class_of": (_lazy_with_one_vertex, lambda t: t.class_of(-1), -1, 0),
     "lazy-orientation": (_lazy_with_one_vertex, lambda t: t.orientation(-1, 0), -1, 0),
