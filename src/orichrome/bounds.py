@@ -106,23 +106,32 @@ def clique_order_threshold(n: int) -> float:
     return (math.log2(n) - 1) * n + 1
 
 
+def _last(holds, lo: int, hi: int) -> int:
+    """Greatest n in [lo, hi) with ``holds(n)``, by bisection; ``holds`` is monotone, true at lo, false at hi."""
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if holds(mid) else (lo, mid)
+    return lo
+
+
 def extremal_clique_order(g: int) -> int:
     """Greatest n with (log2(n) - 1)*n + 1 <= g, for g >= 11.
 
-    The threshold is strictly increasing for n >= 2, so a local walk from
-    the analytic estimate 2*exp(W0((g-1)*ln2/2)) lands on the same value an
-    upward scan from n = 5 would.
+    The threshold never falls as n grows, in floats too, and passes n from
+    n = 5 on, so it is found between n = 5 (threshold ~ 7.6 <= g) and n = g in
+    about log2(g) bisection steps.
     """
     if g < 11:
         raise DomainError("clique order selection needs g >= 11")
-    estimate = int(2 * math.exp(lambert_w0((g - 1) * LN2 / 2)))
-    n = max(5, estimate - 2)
-    while clique_order_threshold(n + 1) <= g:
-        n += 1
-    while n > 5 and clique_order_threshold(n) > g:
-        n -= 1
-    # g >= 11 makes n = 5 feasible (threshold(5) ~ 7.6), so n is the maximum
-    return n
+    return _last(lambda n: clique_order_threshold(n) <= g, 5, g)
+
+
+def _headline(g: int) -> float:
+    return _HEADLINE_FACTOR * g * math.log(g)
+
+
+# the headline is the first bound to leave the doubles; 2^40 * 2^975 is still a float
+MAX_GENUS = _last(lambda g: math.isfinite(_headline(g)), 2, 1 << 975)
 
 
 def chi_upper_bound(g: int) -> tuple[float, float]:
@@ -132,9 +141,12 @@ def chi_upper_bound(g: int) -> tuple[float, float]:
     That size is (144g-162) * ceil(8^10 * ln(144g-162)), 8^10 coming from
     fullness arity 10, and is asserted to sit under the headline.  It is
     returned as a float, as the headline is: from g ~ 10^5 it exceeds 2^53.
+    Above MAX_GENUS, about 2.42e293, the headline is no double: DomainError.
     """
     params = surface_parameters(g)
-    headline = _HEADLINE_FACTOR * g * math.log(g)
+    if g > MAX_GENUS:
+        raise DomainError(f"2^40 g ln g is a finite double only up to g = {MAX_GENUS:.6e}")
+    headline = _headline(g)
     classes = params.total_classes
     intermediate = classes * math.ceil(8**params.fullness_arity * math.log(classes))
     if intermediate > headline:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import chain
 
 from .bounds import surface_parameters
-from .errors import DegeneracyViolation, InvalidInner, InvariantViolation, PreconditionViolated
+from .errors import GenusAssumptionViolated, InvariantViolation, PreconditionViolated
 from .graphs import OrientedGraph, VertexOrdering, back_degrees, degeneracy_ordering
 
 
@@ -114,7 +114,8 @@ def surface_two_dipath(
     among the first 6*genus - 1 vertices of the degeneracy ordering; the rest
     of the ordering must have back-degree <= 6 in the stripped graph (true
     whenever the graph really has Euler genus <= genus), else
-    DegeneracyViolation is raised.
+    GenusAssumptionViolated is raised.  Greedy's output is not re-checked:
+    ``is_valid_two_dipath`` is the reference the tests apply to it.
     """
     if genus < 2:
         raise PreconditionViolated("surface colouring needs genus >= 2")
@@ -135,13 +136,11 @@ def surface_two_dipath(
     backs = back_degrees(stripped, ordering.order)
     for v, back in zip(ordering.order, backs):
         if back > params.back_degree_limit:
-            raise DegeneracyViolation(
+            raise GenusAssumptionViolated(
                 f"stripped graph has back-degree {back} at vertex {v}; "
                 f"inconsistent with Euler genus <= {genus}"
             )
     inner = greedy_two_dipath(stripped, ordering)
-    if not is_valid_two_dipath(stripped, inner.colours):
-        raise InvalidInner("inner colouring is not a valid 2-dipath colouring of the stripped graph")
     # each strip vertex gets a fresh colour above greedy's palette, its
     # maximum colour, in sorted vertex order; the dict keeps greedy's order
     for c, v in enumerate(sorted(strip), inner.palette_size + 1):

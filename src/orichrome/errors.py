@@ -3,7 +3,7 @@
 Each class declares the CLI exit status it ends a run with, so the
 distinctions are part of the public contract: bad input and broken
 invariants exit 1, a refused cap or budget exits 2, and a detected violation
-of the caller's genus assertion exits 3.
+of the caller's genus assertion, whichever of its two promises broke, exits 3.
 """
 
 
@@ -71,22 +71,12 @@ class RealizationError(OrichromeError):
     """No target vertex satisfies a constraint set that should be realizable."""
 
 
-class InvalidInner(OrichromeError):
-    """The greedy colouring of the stripped graph failed the independent check."""
-
-
 class PreconditionViolated(OrichromeError):
     """Operation applied outside its stated hypothesis."""
 
 
-class DegeneracyViolation(OrichromeError):
-    """Stripped graph exceeded the promised back-degree under the ordering."""
-
-    exit_status = 3
-
-
 class GenusAssumptionViolated(OrichromeError):
-    """Input graph cannot have the asserted Euler genus."""
+    """Input graph cannot have the asserted Euler genus: a core degree above 12g-12 or stripped back-degree above 6."""
 
     exit_status = 3
 

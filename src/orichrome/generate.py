@@ -13,7 +13,7 @@ from itertools import combinations, permutations, product
 from typing import Iterator
 
 from .errors import DomainError, InvariantViolation, TooLarge
-from .graphs import _MAX_FILE_VERTICES, OrientedGraph, SimpleGraph, _transpose, bits
+from .graphs import _MAX_FILE_VERTICES, OrientedGraph, SimpleGraph, _transpose, bits, count_text
 from .rng import SplitMix64, derive_seed
 
 _PAIR_STATE_CAP = 5  # 3^C(5,2) oriented graphs
@@ -297,5 +297,5 @@ def generate(kind: str, seed: int = 0, **params) -> OrientedGraph:
     else:
         order = need("n")
     if order > _MAX_FILE_VERTICES:
-        raise TooLarge(f"{kind} with {order} vertices; the limit is {_MAX_FILE_VERTICES}")
+        raise TooLarge(f"{kind} with {count_text(order)} vertices; the limit is {_MAX_FILE_VERTICES}")
     return _GENERATORS[kind](need, seed, params)

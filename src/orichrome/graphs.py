@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 from collections import defaultdict
 from dataclasses import dataclass
+from decimal import Decimal
 from heapq import heapify, heappop, heappush
 from itertools import compress
 from operator import add
@@ -380,6 +381,11 @@ def canonical_json(obj) -> str:
     """The one JSON layout every writer uses: sorted keys, no spaces, so
     equal objects give equal bytes."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def count_text(n: int) -> str:
+    """``n`` in decimal up to 2^1000, else as 1.23e+456: int-to-str refuses over 4300 digits."""
+    return str(n) if n.bit_length() <= 1000 else f"{Decimal(n):.2e}"
 
 
 def graph_to_json(g: OrientedGraph) -> str:

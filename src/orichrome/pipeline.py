@@ -6,9 +6,10 @@ a class-structured target (reserved pool for a small prefix, one class per
 distance-2 colour for the rest), then replays the peeling in reverse,
 re-inserting each removed vertex or edge with a fresh fullness query.
 
-Genus is an asserted input, never computed.  A false assertion surfaces
-exactly where the degree bounds it promises are violated: the core max
-degree check and the stripped back-degree check.
+Genus is an asserted input, never computed.  A false assertion raises
+GenusAssumptionViolated exactly where a degree bound it promises breaks:
+the core degree cap in ``discharge_check`` and the stripped back-degree
+cap in ``surface_two_dipath``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .dipath import surface_two_dipath
 from .errors import (
     CapacityExceeded,
     ConstraintConflict,
-    DegeneracyViolation,
     GenusAssumptionViolated,
     InvariantViolation,
     NotReduced,
@@ -260,13 +260,13 @@ class ChargeLedger:
         return sum(self.final.values()) == sum(self.initial.values())
 
 
-def discharge_check(core: OrientedGraph, genus: int) -> tuple[ChargeLedger, bool]:
+def discharge_check(core: OrientedGraph, genus: int) -> ChargeLedger:
     """Run the two transfer rules on a reduced core and check the degree cap.
 
     Every neighbour of a degree-4 vertex sends it 1/2; of a degree-5 vertex,
     1/5.  On a reduced core no final charge is negative, whatever the genus
-    (one that is raises InvariantViolation); the flag returned reports max
-    degree <= 12g-12, and False means the caller's genus assertion is wrong.
+    (one that is raises InvariantViolation).  A max degree above 12g-12, a
+    false genus assertion, raises GenusAssumptionViolated; else the ledger returns.
     """
     params = surface_parameters(genus)
     _check_reduced(core)
@@ -284,7 +284,9 @@ def discharge_check(core: OrientedGraph, genus: int) -> tuple[ChargeLedger, bool
         raise InvariantViolation("discharging left a negative charge")
     if not ledger.conservation_ok():
         raise InvariantViolation("discharging changed the total charge")
-    return ledger, core.max_degree() <= params.core_degree_limit
+    if core.max_degree() > params.core_degree_limit:
+        raise GenusAssumptionViolated(f"core max degree {core.max_degree()} exceeds {params.core_degree_limit}")
+    return ledger
 
 
 def _valid(g: OrientedGraph, target, mapping: dict[int, int]) -> bool:
@@ -349,7 +351,7 @@ class PipelineResult:
     pool_vertices: tuple[int, ...]
     core_images: dict[int, int]  # the core stage's mapping, before the replay re-maps any of it
     psi_colours: dict[int, int] | None
-    ledger: ChargeLedger | None
+    ledger: ChargeLedger
     debug_checks: int
 
     def to_json(self) -> str:
@@ -362,16 +364,6 @@ class PipelineResult:
                 "psi_palette": self.psi_palette,
             }
         )
-
-
-def _discharge(core: OrientedGraph, params: SurfaceParameters) -> ChargeLedger | None:
-    """Discharge-check a non-empty core; a max degree beyond 12g-12 means a false genus assertion."""
-    if not core.n:
-        return None
-    ledger, max_degree_ok = discharge_check(core, params.genus)
-    if not max_degree_ok:
-        raise GenusAssumptionViolated(f"core max degree {core.max_degree()} exceeds {params.core_degree_limit}")
-    return ledger
 
 
 def _map_core(target, reduction: ReductionResult, params: SurfaceParameters):
@@ -389,10 +381,7 @@ def _map_core(target, reduction: ReductionResult, params: SurfaceParameters):
     mapping = _embed_pool(target, wk, pool_vertices)
     if core.n == len(pool_vertices):
         return mapping, core_ordering, pool_vertices, 0, None
-    try:
-        psi = surface_two_dipath(core, params.genus, ordering)
-    except DegeneracyViolation as exc:
-        raise GenusAssumptionViolated(f"degeneracy ordering breaks the genus promise: {exc}") from exc
+    psi = surface_two_dipath(core, params.genus, ordering)
     psi_colours = {orig[c]: col for c, col in psi.colours.items()}
     queried = core_ordering[len(pool_vertices):]
     # the strip's colours sit on pool vertices, which are never queried
@@ -470,13 +459,13 @@ def _replay(target, reduction: ReductionResult, mapping: dict[int, int]) -> int:
 
 def colour_surface_graph(g: OrientedGraph, genus: int, target=None) -> PipelineResult:
     """Colour a genus-<=genus oriented graph into a class-structured target in
-    stages: ``reduce_graph``, ``_discharge``, ``_map_core``, ``_replay``, ``_valid``.
+    stages: ``reduce_graph``, ``discharge_check``, ``_map_core``, ``_replay``, ``_valid``.
     Each vertex is mapped against its mapped neighbours on the reducer's work graph."""
     params = surface_parameters(genus)
     if target is None:
         target = LazyTarget(params.free_classes, params.reserved_capacity)
     reduction = reduce_graph(g)
-    ledger = _discharge(reduction.core, params)
+    ledger = discharge_check(reduction.core, genus)
     core_images, core_ordering, pool_vertices, psi_palette, psi_colours = _map_core(target, reduction, params)
     mapping = dict(core_images)
     debug_checks = _replay(target, reduction, mapping)

@@ -41,7 +41,7 @@ from .errors import (
     PreconditionViolated,
     RealizationError,
 )
-from .graphs import OrientedGraph, bits, canonical_json
+from .graphs import OrientedGraph, bits, canonical_json, count_text
 from .rng import SplitMix64, derive_seed
 
 VERIFIER_VERSION = "1"
@@ -376,7 +376,7 @@ def _verify_arity(k: int, d: int, N: int) -> int:
     arity = min(d, outside_count)
     work = k * math.comb(outside_count, arity) * (1 << arity)
     if work > _DEFAULT_VERIFY_BUDGET:
-        raise BudgetExceeded(f"verification needs ~{work} checks, budget {_DEFAULT_VERIFY_BUDGET}")
+        raise BudgetExceeded(f"verification needs ~{count_text(work)} checks, budget {_DEFAULT_VERIFY_BUDGET}")
     return arity
 
 
@@ -491,6 +491,9 @@ def sample_full(k: int, d: int, seed: int = 0) -> FullTarget:
     """
     if k < 5 or d < 2:
         raise DomainError("sampling bound proved for k >= 5, d >= 2")
+    if d >= _DEFAULT_VERIFY_BUDGET.bit_length():
+        # the verifier's 2^d sign patterns alone pass its budget, so 8^d is not built
+        raise BudgetExceeded(f"verification needs over 2^{d} checks, budget {_DEFAULT_VERIFY_BUDGET}")
     N = math.ceil(8**d * math.log(k))
     _verify_arity(k, d, N)
     pairs = k * (k - 1) // 2 * N * N

@@ -108,7 +108,7 @@ def test_extremal_matches_literal_scan():
 
 
 def test_extremal_is_the_threshold_optimum():
-    for g in (11, 37, 200, 5000, 10**5):
+    for g in (11, 37, 200, 5000, 10**5, 10**22, 10**25, 10**290, bounds_module.MAX_GENUS):
         n = extremal_clique_order(g)
         assert clique_order_threshold(n) <= g < clique_order_threshold(n + 1)
 
@@ -168,6 +168,23 @@ def test_table_na_below_11():
 )
 def test_table_pinned(g_min, g_max, digest):
     assert hashlib.sha256(bounds_table(g_min, g_max).encode()).hexdigest() == digest
+
+
+def test_table_row_at_large_genus():
+    # clique orders beyond 2^53 print as exact ints, the lower bound as a rounded float
+    assert bounds_table(10**22, 10**22).split("\n")[1] == (
+        "10000000000000000000000,139755271189922742272.000000,151429775394517827584,"
+        "86009325963840008686648657384046592,5.569782e+35"
+    )
+
+
+def test_table_ends_at_the_double_range():
+    # the headline 2^40 g ln g is the first column to leave the doubles
+    last = bounds_module.MAX_GENUS
+    assert math.isfinite(chi_upper_bound(last)[0])
+    assert bounds_table(last, last).count("\n") == 2
+    with pytest.raises(DomainError, match="2.420270e\\+293"):
+        bounds_table(last, last + 1)
 
 
 def test_table_domain():

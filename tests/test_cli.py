@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import inspect
 import json
@@ -32,6 +33,18 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def run_process(*argv, flags=(), timeout=120):
+    """Run ``python [flags] -m orichrome argv`` in a child process, text in and out."""
+    env = dict(os.environ, PYTHONPATH=str(Path(orichrome.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, *flags, "-m", "orichrome", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=timeout,
+    )
 
 
 @pytest.fixture
@@ -147,6 +160,38 @@ def test_full_sample_refuses_before_drawing_a_coin(capsys, monkeypatch):
     assert err == "error: BudgetExceeded: verification needs ~532170240 checks, budget 20000000\n"
 
 
+TEN_4000 = "1" + "0" * 4000
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (
+            ("full", "sample", "5", "70"),
+            "error: BudgetExceeded: verification needs over 2^70 checks, budget 20000000\n",
+        ),
+        (
+            ("full", "sample", "5", "342"),
+            "error: BudgetExceeded: verification needs over 2^342 checks, budget 20000000\n",
+        ),
+        (
+            ("full", "sample", "1" + "0" * 2000, "2"),
+            "error: BudgetExceeded: verification needs ~1.74e+6011 checks, budget 20000000\n",
+        ),
+        (
+            ("gen", "toroidal-grid", "--rows", TEN_4000, "--cols", TEN_4000),
+            "error: TooLarge: toroidal-grid with 1.00e+8000 vertices; the limit is 1000000\n",
+        ),
+    ],
+    ids=["d-70", "d-342", "k-10^2000", "grid-10^8000"],
+)
+def test_refusal_prints_its_huge_number(capsys, argv, line):
+    # each refusal's number passes int-to-str's 4300 digits, or, from d = 342,
+    # 8^d ln k passes the largest double; d >= 25 is refused by 2^d alone
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", line)
+
+
 def test_full_verify_failing_target(capsys, tmp_path):
     t = cyclic_k44_target(2)
     f = tmp_path / "k44d2.json"
@@ -230,6 +275,16 @@ def test_colour_impossible_genus_exit(capsys, tmp_path):
     code, _, err = run(capsys, "colour", str(f), "--g", "2")
     assert code == 3
     assert "GenusAssumptionViolated" in err
+
+
+def test_colour_degree_cap_exit(capsys, tmp_path):
+    # every vertex of a 14-vertex tournament has degree 13, above the genus-2
+    # cap 12, so the run stops at discharging, before the back-degree check
+    f = tmp_path / "k14.og"
+    f.write_text(serialize_edge_list(random_tournament(14, seed=1)))
+    code, out, err = run(capsys, "colour", str(f), "--g", "2")
+    assert (code, out) == (3, "")
+    assert err == "error: GenusAssumptionViolated: core max degree 13 exceeds 12\n"
 
 
 def test_colour_with_stored_target(capsys, tmp_path):
@@ -512,6 +567,19 @@ def test_exit_status_per_error_class_matches_readme():
     assert statuses == expected
 
 
+def test_bounds_on_huge_genus_finish_or_refuse():
+    # in a child process, so a search that does not end fails on the timeout
+    g = str(10**290)
+    done = run_process("bounds", g, g, timeout=30)
+    assert (done.returncode, done.stderr) == (0, "")
+    row = done.stdout.splitlines()[1].split(",")
+    assert row[0] == g and row[4] == "7.341985e+304"
+    g = str(10**295)
+    refused = run_process("bounds", g, g, timeout=30)
+    assert (refused.returncode, refused.stdout) == (1, "")
+    assert refused.stderr == "error: DomainError: 2^40 g ln g is a finite double only up to g = 2.420270e+293\n"
+
+
 def test_help_exit_0(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
@@ -520,6 +588,15 @@ def test_help_exit_0(capsys):
 
 
 # -- closed stdout -------------------------------------------------------------
+
+
+def test_selftest_stdout_pinned_under_optimize():
+    # python -O drops assert statements; the criteria and their reports must not rest on them
+    done = run_process("selftest", "--seed", "0", flags=("-O",))
+    assert (done.returncode, done.stderr) == (0, "")
+    assert hashlib.sha256(done.stdout.encode()).hexdigest() == (
+        "ef2731c1571dc93b6dec6d1efbcf1b4a6a0951fe5aafa0e4f3d764b33d58ade3"
+    )
 
 
 def test_selftest_reader_closes_stdout(tmp_path):

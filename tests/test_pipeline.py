@@ -411,15 +411,13 @@ def test_reduced_core_conditions(seed, n):
 
 
 def test_empty_core_vacuous():
-    ledger, ok = discharge_check(OrientedGraph(0), 2)
-    assert ok
+    ledger = discharge_check(OrientedGraph(0), 2)
     assert ledger.conservation_ok()
 
 
 def test_k12_minus_matching_ledger():
     g = k12_minus_matching_orientation(1)
-    ledger, ok = discharge_check(g, 2)
-    assert ok  # max degree 10 <= 12
+    ledger = discharge_check(g, 2)  # max degree 10 <= 12
     assert all(c == Fraction(4) for c in ledger.final.values())
     assert ledger.transfers == []
     assert ledger.conservation_ok()
@@ -427,8 +425,7 @@ def test_k12_minus_matching_ledger():
 
 def test_degree4_receives_half_from_each_neighbour():
     g = deg4_on_k13(4)
-    ledger, ok = discharge_check(g, 3)
-    assert ok  # max degree 13 <= 24
+    ledger = discharge_check(g, 3)  # max degree 13 <= 24
     assert ledger.initial[13] == Fraction(-2)
     assert ledger.final[13] == Fraction(0)
     assert len(ledger.transfers) == 4
@@ -441,8 +438,7 @@ def test_degree5_transfers_stay_exact():
     # vertex 4 pays both, so its charge 14 - 6 - 2/5 is no float
     arcs = random_tournament(13, 2).arcs() + [(13, i) for i in range(5)] + [(i, 14) for i in range(4, 9)]
     g = OrientedGraph(15, arcs)
-    ledger, ok = discharge_check(g, 3)
-    assert ok
+    ledger = discharge_check(g, 3)
     exact = {v: Fraction(g.degree(v) - 6) for v in range(g.n)}
     for v in (13, 14):
         for u in g.neighbours(v):
@@ -457,8 +453,8 @@ def test_degree5_transfers_stay_exact():
 
 def test_degree_cap_flags_wrong_genus():
     g = deg4_on_k13(4)
-    _, ok = discharge_check(g, 2)
-    assert not ok  # max degree 13 > 12*2-12
+    with pytest.raises(GenusAssumptionViolated, match="core max degree 13 exceeds 12"):
+        discharge_check(g, 2)
 
 
 def test_not_reduced_k4():

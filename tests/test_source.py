@@ -1,11 +1,13 @@
 """Checks on the library source itself."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
 
 import orichrome
+import orichrome.errors
 
 SOURCES = sorted(Path(orichrome.__file__).parent.glob("*.py"))
 
@@ -53,6 +55,22 @@ def test_exports_have_a_library_caller():
     assert sorted(exported - used - EXPORTS_WITHOUT_CALLER.keys()) == []
     # the allowance holds only names that still need it
     assert sorted(EXPORTS_WITHOUT_CALLER.keys() - (exported - used)) == []
+
+
+def test_every_error_class_is_raised():
+    # an error class that no module raises is a status the CLI never returns
+    raised = set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
+                raised.add(getattr(node.exc.func, "id", getattr(node.exc.func, "attr", None)))
+    classes = {
+        name
+        for name, cls in inspect.getmembers(orichrome.errors, inspect.isclass)
+        if issubclass(cls, orichrome.errors.OrichromeError) and cls is not orichrome.errors.OrichromeError
+    }
+    assert sorted(classes - raised) == []
 
 
 def test_json_dumps_only_in_canonical_json():
