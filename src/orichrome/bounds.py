@@ -8,7 +8,9 @@ discharging ledger (pipeline module).
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import DomainError, InvariantViolation, NonConvergence, PreconditionViolated
 
@@ -154,20 +156,29 @@ def chi_upper_bound(g: int) -> tuple[float, float]:
     return headline, float(intermediate)
 
 
-def bounds_table(g_min: int, g_max: int) -> str:
-    """CSV over a genus range; columns below their domain print NA."""
+def _bounds_row(g: int) -> str:
+    headline, construction_size = chi_upper_bound(g)
+    if g < 11:
+        lower_text = "NA"
+        order_text = "NA"
+    else:
+        lower_text = f"{chi_lower_bound(g):.6f}"
+        order_text = str(extremal_clique_order(g))
+    return f"{g},{lower_text},{order_text},{int(construction_size)},{headline:.6e}\n"
+
+
+def bounds_rows(g_min: int, g_max: int) -> Iterator[str]:
+    """The lines of bounds_table, each computed as it is read.
+
+    The range is checked first, so a refused range yields no line.
+    """
     if g_min < 2 or g_min > g_max:
         raise DomainError("need 2 <= g_min <= g_max")
-    lines = ["g,chi_lower,clique_order,chi_upper_intermediate,chi_upper"]
-    for g in range(g_min, g_max + 1):
-        headline, construction_size = chi_upper_bound(g)
-        if g < 11:
-            lower_text = "NA"
-            order_text = "NA"
-        else:
-            lower_text = f"{chi_lower_bound(g):.6f}"
-            order_text = str(extremal_clique_order(g))
-        lines.append(
-            f"{g},{lower_text},{order_text},{int(construction_size)},{headline:.6e}"
-        )
-    return "\n".join(lines) + "\n"
+    chi_upper_bound(g_max)  # DomainError here, not mid-table, past MAX_GENUS
+    header = "g,chi_lower,clique_order,chi_upper_intermediate,chi_upper\n"
+    return chain([header], map(_bounds_row, range(g_min, g_max + 1)))
+
+
+def bounds_table(g_min: int, g_max: int) -> str:
+    """CSV over a genus range; columns below their domain print NA."""
+    return "".join(bounds_rows(g_min, g_max))

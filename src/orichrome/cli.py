@@ -15,7 +15,7 @@ import os
 import sys
 
 from .acceptance import run_all
-from .bounds import bounds_table
+from .bounds import bounds_rows
 from .errors import OrichromeError, PreconditionViolated
 from .generate import _TOURNAMENT_CAP, GEN_KINDS, generate
 from .graphs import canonical_json, graph_from_json, graph_to_json, parse_edge_list, serialize_edge_list
@@ -123,7 +123,7 @@ def _cmd_colour(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    sys.stdout.write(bounds_table(args.g_min, args.g_max))
+    sys.stdout.writelines(bounds_rows(args.g_min, args.g_max))
     return 0
 
 

@@ -329,9 +329,21 @@ def back_degrees(g, order: Iterable[int]) -> list[int]:
 _MAX_FILE_VERTICES = 1_000_000
 
 
-def _check_file_order(n: int) -> None:
+def _read_count(token: str) -> int | Decimal:
+    """int(token), or a Decimal when int() refuses it only for its length:
+    over 4300 digits, which is far past the cap."""
+    try:
+        return int(token)
+    except ValueError:
+        if not token.isdecimal():
+            raise
+        return Decimal(token)
+
+
+def _check_file_order(n: int | Decimal) -> int:
     if n > _MAX_FILE_VERTICES:
-        raise TooLarge(f"graph file declares {n} vertices; the limit is {_MAX_FILE_VERTICES}")
+        raise TooLarge(f"graph file declares {count_text(n)} vertices; the limit is {_MAX_FILE_VERTICES}")
+    return int(n)
 
 
 def parse_edge_list(text: str) -> OrientedGraph:
@@ -352,14 +364,14 @@ def parse_edge_list(text: str) -> OrientedGraph:
         if len(parts) != 2:
             raise ParseError(f"expected two integers, got {line!r}", lineno)
         try:
-            a, b = int(parts[0]), int(parts[1])
+            a = int(parts[0]) if header is not None else _read_count(parts[0])
+            b = int(parts[1])
         except ValueError:
             raise ParseError(f"expected two integers, got {line!r}", lineno) from None
         if header is None:
             if a < 0 or b < 0:
                 raise ParseError("header counts must be non-negative", lineno)
-            _check_file_order(a)
-            header = (a, b)
+            header = (_check_file_order(a), b)
         else:
             arcs.append((a, b))
     if header is None:
@@ -383,13 +395,23 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def count_text(n: int) -> str:
+def count_text(n: int | Decimal) -> str:
     """``n`` in decimal up to 2^1000, else as 1.23e+456: int-to-str refuses over 4300 digits."""
-    return str(n) if n.bit_length() <= 1000 else f"{Decimal(n):.2e}"
+    return str(n) if abs(n) < 1 << 1000 else f"{Decimal(n):.2e}"
 
 
 def graph_to_json(g: OrientedGraph) -> str:
     return canonical_json({"n": g.n, "arcs": g.arcs()})
+
+
+def _long_json_count(text: str) -> Decimal | int:
+    """Graph JSON's n if json.loads refused it for its length (over 4300
+    digits), else 0."""
+    try:
+        n = json.loads(text, parse_int=_read_count)["n"]
+    except (KeyError, TypeError, ValueError, RecursionError):
+        return 0
+    return n if isinstance(n, Decimal) else 0
 
 
 def graph_from_json(text: str) -> OrientedGraph:
@@ -399,6 +421,8 @@ def graph_from_json(text: str) -> OrientedGraph:
         arcs = [(u, v) for u, v in obj["arcs"]]
     # RecursionError: json.loads on a document nested past the stack depth
     except (KeyError, TypeError, ValueError, RecursionError) as exc:
+        if isinstance(exc, ValueError):
+            _check_file_order(_long_json_count(text))
         raise ParseError(f"bad graph JSON: {exc}", 1) from None
     # exact ints only: bool is an int subclass, and a float endpoint would truncate
     if type(n) is not int or any(type(x) is not int for arc in arcs for x in arc):

@@ -581,8 +581,10 @@ class RestrictedTarget(_PoolRows):
 
     The rows are built once: the base's out-rows with the bits among pool
     vertices cleared, and the in-rows, every other cross pair of a vertex.
-    A query ANDs the class's member mask with one row per constraint and
-    answers the lowest member left.
+    So is each free class's member mask.  A query ANDs the class's member
+    mask with one row per constraint and answers the lowest member left.
+    The arity gate reads the base's certification on every query, since it
+    may be certified after this target is built.
     """
 
     def __init__(self, base: FullTarget, free_classes: int):
@@ -599,6 +601,8 @@ class RestrictedTarget(_PoolRows):
         cross = [((1 << n) - 1) ^ ((1 << N) - 1) << c * N for c in range(free_classes)]
         self._out = [row if v < lo else row & free for v, row in enumerate(base._out)]
         self._in = [(cross[v // N] if v < lo else free) ^ row for v, row in enumerate(self._out)]
+        # indexed by class; the pool (class 0) is never queried
+        self._members = [0] + [(1 << N) - 1 << c * N for c in range(free_classes)]
 
     @property
     def fullness_arity(self) -> int | None:
@@ -620,17 +624,16 @@ class RestrictedTarget(_PoolRows):
         """A class vertex pointing per ``constraints`` (image -> sign toward it)."""
         if not 1 <= class_index <= self.free_classes:
             raise InvalidClass(f"class {class_index} outside 1..{self.free_classes}")
-        arity = self.fullness_arity
-        if arity is not None and len(constraints) > arity:
-            raise ArityExceeded(f"{len(constraints)} constraints exceed certified arity {arity}")
-        out, inn = self._out, self._in
-        n, N = len(out), self.base.N
-        lo = (class_index - 1) * N
-        mask = (1 << N) - 1 << lo
+        base = self.base
+        if base.certified and len(constraints) > base.d:
+            raise ArityExceeded(f"{len(constraints)} constraints exceed certified arity {base.d}")
+        out, inn, class_of = self._out, self._in, self._class_of
+        n = len(out)
+        mask = self._members[class_index]
         for u, sign in constraints.items():
             if not 0 <= u < n:
                 _check_vertex(u, n)
-            if lo <= u < lo + N:
+            if class_of[u] == class_index:
                 raise ClassCollision(f"constraint vertex {u} lies in class {class_index}")
             # sign 1 keeps the members with an arc into u, any other sign those u points at
             mask &= inn[u] if sign == 1 else out[u]

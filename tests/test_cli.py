@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ import orichrome.rng
 from orichrome import (
     OrientedGraph,
     SimpleGraph,
+    bounds_table,
     random_orientation,
     random_tournament,
     serialize_edge_list,
@@ -597,6 +599,32 @@ def test_selftest_stdout_pinned_under_optimize():
     assert hashlib.sha256(done.stdout.encode()).hexdigest() == (
         "ef2731c1571dc93b6dec6d1efbcf1b4a6a0951fe5aafa0e4f3d764b33d58ade3"
     )
+
+
+def test_bounds_writes_rows_as_computed():
+    # the whole range takes minutes; its first rows must not wait for the rest
+    env = dict(
+        os.environ,
+        PYTHONPATH=str(Path(orichrome.__file__).parents[1]),
+        PYTHONUNBUFFERED="1",
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "orichrome", "bounds", "11", "100000000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL,
+        env=env,
+    )
+    lines = []
+    reader = threading.Thread(target=lambda: lines.extend(proc.stdout.readline() for _ in range(2)))
+    try:
+        reader.start()
+        reader.join(timeout=10)
+        assert b"".join(lines).decode() == bounds_table(11, 11)
+    finally:
+        proc.kill()
+        proc.wait()
+        reader.join()
+        proc.stdout.close()
 
 
 def test_selftest_reader_closes_stdout(tmp_path):

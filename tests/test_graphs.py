@@ -516,6 +516,26 @@ def test_file_vertex_cap(parse, text):
 
 
 @pytest.mark.parametrize(
+    "parse, text",
+    [
+        (parse_edge_list, "1" + "0" * 5000 + " 1\n0 1\n"),
+        (graph_from_json, '{"n": 1' + "0" * 5000 + ', "arcs": []}'),
+    ],
+    ids=["edge-list", "json"],
+)
+def test_file_vertex_cap_past_int_digit_limit(parse, text):
+    # int() refuses over 4300 digits; the count is still TooLarge, printed short
+    with pytest.raises(TooLarge, match=r"declares 1\.00e\+5000 vertices"):
+        parse(text)
+
+
+def test_file_vertex_count_with_leading_zeros():
+    # 5000 zeros make the token too long for int(), not the count too large
+    g = parse_edge_list("0" * 5000 + "3 1\n0 1\n")
+    assert (g.n, g.arcs()) == (3, [(0, 1)])
+
+
+@pytest.mark.parametrize(
     "text",
     [
         '{"arcs":[],"n":3.5}',

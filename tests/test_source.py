@@ -31,6 +31,7 @@ def test_parses_at_the_oldest_supported_python(path):
 EXPORTS_WITHOUT_CALLER = {
     "genus_upper_from_edges": "Euler lemma behind clique_order_threshold's (log2 n - 1)n + 1",
     "order_upper_from_min_degree": "Euler lemma, at k = 1 the reason the 6g - 1 strip leaves back-degree 6",
+    "bounds_table": "the whole CSV as one string; the bounds command streams its rows from bounds_rows",
 }
 
 

@@ -449,6 +449,17 @@ def test_restricted_realizer_gates():
         r.query(2, {0: 1})
 
 
+def test_restricted_arity_is_read_per_query():
+    # the gate follows the base's certification, also one made after building
+    t = cyclic_k44_target(1)
+    r = RestrictedTarget(t, 1)
+    constraints = {u: t.orientation(0, u) for u in (4, 5, 6)}  # vertex 0 realizes them
+    assert r.query(1, constraints) == 0
+    verify_full(t)
+    with pytest.raises(ArityExceeded):
+        r.query(1, constraints)
+
+
 def test_restricted_needs_free_class():
     with pytest.raises(DomainError):
         RestrictedTarget(cyclic_k44_target(1), 2)
