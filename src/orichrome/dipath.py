@@ -8,7 +8,8 @@ colours.  Colours are positive integers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from functools import reduce
+from operator import countOf, or_
 
 from .bounds import surface_parameters
 from .errors import GenusAssumptionViolated, InvariantViolation, PreconditionViolated
@@ -62,33 +63,34 @@ def greedy_two_dipath(g: OrientedGraph, ordering: VertexOrdering) -> DipathColou
     Avoiding already-coloured vertices at *undirected* distance up to two is
     stronger than 2-dipath properness and is what makes the palette bound
     2*d*delta - delta - d^2 + d + 1 hold, with d the maximum back-degree of
-    the ordering and delta the maximum degree.  Colours live in a list by
-    vertex, 0 meaning uncoloured, over unsorted out-plus-in rows; the
-    returned dict lists the vertices in ordering order.
+    the ordering and delta the maximum degree.  Each vertex keeps a
+    neighbourhood colour mask, bit c set when it or a neighbour has colour
+    c, so v's first-fit colour is the lowest zero bit of its neighbours'
+    masks ORed, and colouring v sets one bit in v's and each neighbour's
+    mask: O(deg v) per vertex.  The returned dict is filled in ordering
+    order.
     """
     if sorted(ordering.order) != list(range(g.n)):
         raise ValueError("ordering is not a permutation of the vertices")
     adj = g.neighbour_rows()
-    colour = [0] * g.n
-    get = colour.__getitem__
+    colours: dict[int, int] = {}
+    near = [0] * g.n
+    coloured, mask = colours.__contains__, near.__getitem__
     d_eff = 0
     for v in ordering.order:
         row = adj[v]
-        near = list(map(get, row))
-        d_eff = max(d_eff, len(near) - near.count(0))
-        # v itself is not coloured yet, and c starts above the 0 of the
-        # uncoloured, so neither matters in used
-        used = set(near)
-        used.update(map(get, chain.from_iterable(map(adj.__getitem__, row))))
-        c = 1
-        while c in used:
-            c += 1
-        colour[v] = c
-    palette = max(colour, default=0)
+        d_eff = max(d_eff, countOf(map(coloured, row), True))
+        # bit 0 is set and stands for no colour, so the lowest zero bit is a colour >= 1
+        used = reduce(or_, map(mask, row), 1)
+        bit = ~used & (used + 1)
+        colours[v] = bit.bit_length() - 1
+        near[v] |= bit
+        for w in row:
+            near[w] |= bit
+    palette = max(colours.values(), default=0)
     bound = two_dipath_palette_bound(d_eff, g.max_degree())
     if g.n and palette > bound:
         raise InvariantViolation(f"palette {palette} exceeded bound {bound}")
-    colours = {v: colour[v] for v in ordering.order}
     return DipathColouring(colours=colours, palette_size=palette)
 
 

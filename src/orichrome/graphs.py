@@ -281,34 +281,35 @@ def degeneracy_ordering(g) -> VertexOrdering:
     Peeling removes a minimum-degree vertex of the remaining graph (ties by
     lowest index), taken from a heap of ``degree * n + vertex`` ints, the
     smallest-last worklist of Matula and Beck; the ints sort as the
-    (degree, vertex) pairs would.  The removal sequence reversed is the
-    returned order, and the largest degree seen at removal time is the
-    degeneracy.
+    (degree, vertex) pairs would.  ``key`` holds each vertex's newest heap
+    int, -1 once removed, so a popped int is stale unless it is its
+    vertex's key.  The removal sequence reversed is the returned order, and
+    the largest live int popped, ``// n``, is the degeneracy.
     Accepts an OrientedGraph or a SimpleGraph.
     """
     n = g.n
     adj = g.neighbour_rows()
-    alive = [True] * n
-    deg = list(map(len, adj))
-    # lazy deletion: degrees only fall, so a vertex's newest entry is its
-    # smallest and pops first; every later entry finds the vertex removed
-    heap = [d * n + u for u, d in enumerate(deg)]
+    # degrees only fall, so a vertex's newest int is its smallest and pops first
+    key = [len(row) * n + u for u, row in enumerate(adj)]
+    heap = key.copy()
     heapify(heap)
     removal: list[int] = []
-    degeneracy = 0
+    top = 0
     while heap:
-        d, v = divmod(heappop(heap), n)
-        if not alive[v]:
+        x = heappop(heap)
+        v = x % n
+        if key[v] != x:
             continue
-        if d > degeneracy:
-            degeneracy = d
+        if x > top:
+            top = x
         removal.append(v)
-        alive[v] = False
+        key[v] = -1
         for w in adj[v]:
-            if alive[w]:
-                deg[w] -= 1
-                heappush(heap, deg[w] * n + w)
-    return VertexOrdering(order=tuple(reversed(removal)), degeneracy=degeneracy)
+            k = key[w]
+            if k >= 0:
+                key[w] = k = k - n
+                heappush(heap, k)
+    return VertexOrdering(order=tuple(reversed(removal)), degeneracy=top // n if n else 0)
 
 
 def back_degrees(g, order: Iterable[int]) -> list[int]:

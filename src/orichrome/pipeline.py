@@ -401,7 +401,7 @@ def _replay(target, reduction: ReductionResult, mapping: dict[int, int]) -> int:
     re-checked against the target's realized orientations; returns the count."""
     wk, nb = reduction.work, reduction.work.nb
     # the class of every image placed so far, kept beside the mapping
-    classes = {x: target.class_of(x) for x in mapping.values()}
+    classes = {x: target.class_of(x) for x in dict.fromkeys(mapping.values())}
     query, orientation = target.query, target.orientation
     free = range(1, target.free_classes + 1)
 

@@ -16,6 +16,7 @@ from orichrome import (
     random_oriented_graph,
     random_tournament,
     stacked_triangulation,
+    surface_parameters,
     surface_two_dipath,
     toroidal_grid,
     two_dipath_palette_bound,
@@ -188,6 +189,14 @@ def test_surface_detects_impossible_genus():
     k13 = random_tournament(13, seed=1)
     with pytest.raises(GenusAssumptionViolated, match="back-degree"):
         surface_two_dipath(k13, 2)
+
+
+def test_surface_palette_breach_raises(monkeypatch):
+    # greedy filling every free class leaves no room for the 11 strip colours
+    free = surface_parameters(2).free_classes
+    monkeypatch.setattr(dipath_module, "greedy_two_dipath", lambda g, o: DipathColouring({}, free))
+    with pytest.raises(InvariantViolation, match=rf"^surface palette {free + 11} exceeds 138g-162$"):
+        surface_two_dipath(toroidal_grid(4, 4, seed=0), 2)
 
 
 def test_surface_strips_once(monkeypatch):

@@ -471,6 +471,34 @@ def test_degeneracy_matches_networkx_core_number(seed, n, density, simple):
     assert degeneracy_ordering(g).degeneracy == max(nx.core_number(G).values(), default=0)
 
 
+def _naive_degeneracy_ordering(g):
+    """Remove the vertex of least (remaining degree, index) until none is left, in O(n^2)."""
+    alive = set(range(g.n))
+    removal, degeneracy = [], 0
+    while alive:
+        d, v = min((sum(u in alive for u in g.neighbours(v)), v) for v in alive)
+        degeneracy = max(degeneracy, d)
+        removal.append(v)
+        alive.remove(v)
+    return tuple(reversed(removal)), degeneracy
+
+
+@given(
+    seeds,
+    st.integers(min_value=0, max_value=40),
+    st.floats(min_value=0.0, max_value=0.9),
+    st.integers(min_value=0, max_value=5),
+    st.booleans(),
+)
+def test_degeneracy_order_matches_naive_reference(seed, n, density, isolated, simple):
+    # ``isolated`` extra vertices with no arcs sit at the top of the labels
+    g = OrientedGraph(n + isolated, random_oriented_graph(n, seed, density).arcs())
+    if simple:
+        g = SimpleGraph(g.n, g.arcs())
+    ordering = degeneracy_ordering(g)
+    assert (ordering.order, ordering.degeneracy) == _naive_degeneracy_ordering(g)
+
+
 # -- text and JSON round trips -------------------------------------------------
 
 

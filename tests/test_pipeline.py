@@ -457,6 +457,19 @@ def test_degree_cap_flags_wrong_genus():
         discharge_check(g, 2)
 
 
+def test_negative_charge_raises(monkeypatch):
+    # with the reduction check off, a 4-cycle's degree-2 vertices keep charge -4
+    monkeypatch.setattr(pipeline, "_check_reduced", lambda core: None)
+    with pytest.raises(InvariantViolation, match="^discharging left a negative charge$"):
+        discharge_check(random_orientation(SimpleGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]), 0), 2)
+
+
+def test_charge_conservation_breach_raises(monkeypatch):
+    monkeypatch.setattr(pipeline.ChargeLedger, "conservation_ok", lambda self: False)
+    with pytest.raises(InvariantViolation, match="^discharging changed the total charge$"):
+        discharge_check(k12_minus_matching_orientation(1), 2)
+
+
 def test_not_reduced_k4():
     with pytest.raises(NotReduced):
         discharge_check(random_tournament(4, 0), 2)
@@ -742,14 +755,32 @@ class _CountingTarget(LazyTarget):
 
 
 def test_replay_keeps_image_classes():
-    # the replay knows the class of each image it placed, so only the core
-    # classes and _valid's pool check, once per distinct image, ask the target
+    # the replay knows the class of each image it placed, and a stacked
+    # triangulation peels to an empty core, so only _valid's pool check asks
+    # the target, once per distinct image
     g = random_orientation(stacked_triangulation(10**3, 0), 0)
     params = surface_parameters(2)
     target = _CountingTarget(params.free_classes, params.reserved_capacity)
     res = colour_surface_graph(g, 2, target)
-    assert res.valid and res.reduction_steps == g.n
-    assert target.class_of_calls <= res.core_size + len(set(res.mapping.values()))
+    assert res.valid and res.reduction_steps == g.n and res.core_size == 0
+    assert target.class_of_calls <= len(set(res.mapping.values()))
+
+
+def test_core_classes_asked_once_per_image():
+    # nothing peels off a 6-regular torus, so the whole mapping comes from the
+    # core stage: the replay's classes and _valid's pool check each ask the
+    # target once per distinct image, not once per core vertex, beside the
+    # two ends install_pool_arc checks on each arc among the pool vertices
+    g = random_orientation(_torus_triangulation(12), 12)
+    params = surface_parameters(2)
+    target = _CountingTarget(params.free_classes, params.reserved_capacity)
+    res = colour_surface_graph(g, 2, target)
+    images = len(set(res.mapping.values()))
+    pool = set(res.pool_vertices)
+    pool_arcs = sum(u in pool and v in pool for u, v in g.arcs())
+    assert res.valid and res.core_size == g.n > params.reserved_capacity
+    assert images < g.n
+    assert target.class_of_calls <= 2 * images + 2 * pool_arcs
 
 
 def test_pipeline_single_arc():

@@ -146,6 +146,19 @@ def test_one_way_bipartite_fails_at_arity_1():
     assert res.signs == (-1,)
 
 
+def test_sample_full_gives_up_after_32_attempts(monkeypatch):
+    attempts = []
+
+    def refuse(t):
+        attempts.append(t)
+        return targets.FailureWitness(1, (), ())
+
+    monkeypatch.setattr(targets, "verify_full", refuse)
+    with pytest.raises(BudgetExceeded, match="^no certified sample within 32 attempts$"):
+        sample_full(5, 2, seed=0)
+    assert len(attempts) == 32
+
+
 def test_verify_budget_gate():
     t = random_target(2, 6, 64, seed=0)
     with pytest.raises(BudgetExceeded):
