@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from operator import countOf, or_
+from operator import or_
 
 from .bounds import surface_parameters
 from .errors import GenusAssumptionViolated, InvariantViolation, PreconditionViolated
@@ -70,16 +70,20 @@ def greedy_two_dipath(g: OrientedGraph, ordering: VertexOrdering) -> DipathColou
     mask: O(deg v) per vertex.  The returned dict is filled in ordering
     order.
     """
+    return _greedy(g, ordering, None)
+
+
+def _greedy(g: OrientedGraph, ordering: VertexOrdering, backs: list[int] | None) -> DipathColouring:
+    """greedy_two_dipath, given the ordering's back-degrees when the caller has counted them."""
     if sorted(ordering.order) != list(range(g.n)):
         raise ValueError("ordering is not a permutation of the vertices")
+    backs = back_degrees(g, ordering.order) if backs is None else backs
     adj = g.neighbour_rows()
     colours: dict[int, int] = {}
     near = [0] * g.n
-    coloured, mask = colours.__contains__, near.__getitem__
-    d_eff = 0
+    mask = near.__getitem__
     for v in ordering.order:
         row = adj[v]
-        d_eff = max(d_eff, countOf(map(coloured, row), True))
         # bit 0 is set and stands for no colour, so the lowest zero bit is a colour >= 1
         used = reduce(or_, map(mask, row), 1)
         bit = ~used & (used + 1)
@@ -88,7 +92,7 @@ def greedy_two_dipath(g: OrientedGraph, ordering: VertexOrdering) -> DipathColou
         for w in row:
             near[w] |= bit
     palette = max(colours.values(), default=0)
-    bound = two_dipath_palette_bound(d_eff, g.max_degree())
+    bound = two_dipath_palette_bound(max(backs, default=0), max(map(len, adj), default=0))
     if g.n and palette > bound:
         raise InvariantViolation(f"palette {palette} exceeded bound {bound}")
     return DipathColouring(colours=colours, palette_size=palette)
@@ -142,7 +146,7 @@ def surface_two_dipath(
                 f"stripped graph has back-degree {back} at vertex {v}; "
                 f"inconsistent with Euler genus <= {genus}"
             )
-    inner = greedy_two_dipath(stripped, ordering)
+    inner = _greedy(stripped, ordering, backs)
     # each strip vertex gets a fresh colour above greedy's palette, its
     # maximum colour, in sorted vertex order; the dict keeps greedy's order
     for c, v in enumerate(sorted(strip), inner.palette_size + 1):

@@ -26,7 +26,8 @@ import json
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import chain, combinations, product
+from functools import lru_cache
+from itertools import chain, combinations, islice
 from typing import NoReturn
 
 from .errors import (
@@ -48,9 +49,9 @@ VERIFIER_VERSION = "1"
 _DEFAULT_VERIFY_BUDGET = 20_000_000
 _DEFAULT_MINIMAL_BUDGET = 1 << 20
 _SAMPLE_ATTEMPTS = 32
-# verify_full's arity-2 scan ORs the first _HEAD_BLOCKS blocks of 8 members
-# (48 members) for every outside u, and the rest only for a u they leave
-# uncovered.  Not a tuning knob: in a fair random orientation a member
+# verify_full's scan ORs the first _HEAD_BLOCKS blocks of 8 members (48
+# members) inside every member mask A, and the rest only for an A they leave
+# short.  Not a tuning knob: at arity 2 a member of a fair random orientation
 # realises a given sign pair with probability 1/4, so 48 members all miss it
 # with probability (3/4)^48, about 1e-6 per pair.
 _HEAD_BLOCKS = 6
@@ -349,11 +350,8 @@ def cyclic_k66_target() -> FullTarget:
 
 
 def _points_at(t: FullTarget, c: int, u: int) -> int:
-    """Mask of the members of class c (bit i for the i-th) that point at u.
-
-    u lies outside class c, so a member points at u exactly when u does not
-    point at it.
-    """
+    """Mask of the members of class c (bit i for the i-th) that point at u,
+    outside class c: those that u does not point at."""
     return ~t._out[u] >> (c - 1) * t.N & ((1 << t.N) - 1)
 
 
@@ -380,6 +378,15 @@ def _verify_arity(k: int, d: int, N: int) -> int:
     return arity
 
 
+@lru_cache(maxsize=8)
+def _scan_shape(k: int, d: int, N: int):
+    """verify_full's setup for (k, d, N), kept for minimal_full_N's thousands of calls:
+    the arity, each S but its last vertex as outside positions, each class's outside."""
+    arity, n, full = _verify_arity(k, d, N), k * N, (1 << N) - 1
+    prefixes = [*combinations(range((k - 1) * N), max(arity - 2, 0))]
+    return arity, prefixes, [(b, ((1 << n) - 1) ^ full << b, [*range(b), *range(b + N, n)]) for b in range(0, n, N)]
+
+
 def verify_full(t: FullTarget):
     """Check the realization property at the target's arity.
 
@@ -388,69 +395,58 @@ def verify_full(t: FullTarget):
     certified) or a falsy FailureWitness for the lexicographically first
     failing (class, subset) with its first missing sign vector.
 
-    Arity 2, where sampled and bundled targets are certified, is a row-bitset
-    scan, the Four-Russians method on the class's Boolean Gram products:
-    block subset-OR tables over the members' rows give, for each outside u,
-    every v that each sign pair (u, v) is realised on, in two table lookups
-    per block of 8 members instead of one test per pair.  Only the first
-    _HEAD_BLOCKS blocks are tabulated and ORed for every u; when they leave
-    some pair (u, v) unrealised, the remaining blocks' tables are built once
-    per class and ORed in before u's witness is sought.  The answer and the
-    witness are those of the scan over every block.
+    Every arity runs one Four-Russians scan.  A subset is S, its first d - 1
+    vertices, and a later w.  For each S in lexicographic order and each
+    sign vector over S, A is the members with those signs, and the OR of
+    their rows, read from per-class subset-OR tables of 8 rows each, gives
+    every w that A realises with each last sign; the two vectors differing
+    only at S's last vertex u share one pass over the tables.  Only the
+    first _HEAD_BLOCKS tables are read for every A, the rest for an A they
+    leave short.  S leads the plain scan's order too, so the witness is the
+    first S with a miss, its least missed w and first missing sign vector.
     """
-    arity = _verify_arity(t.k, t.d, t.N)
-
-    n = t.vertex_count
-    full = (1 << t.N) - 1
-    for c in range(1, t.k + 1):
-        outside = [v for v in range(n) if v // t.N != c - 1]
+    arity, prefixes, classes = _scan_shape(t.k, t.d, t.N)
+    n, N, full, blocks = t.vertex_count, t.N, (1 << t.N) - 1, (t.N + 7) // 8
+    for c, (base, outside_mask, outside) in enumerate(classes, 1):
         plus = [_points_at(t, c, u) for u in outside]
-        # sign vectors are scanned with -1 before +1, matching the plain
-        # product((-1, 1), ...) reference order, so witnesses are canonical
-        if arity == 2:
-            # member i's row packs R_i, the outside v it points at, below
-            # I_i = outside ^ R_i, those pointing at it.  ORed over the
-            # members with sign + toward u (the bits of plus), the row gives
-            # the v realised with (+,+) low and (+,-) high; over the members
-            # with sign -, (-,+) low and (-,-) high.
-            base = (c - 1) * t.N
-            outside_mask = ((1 << n) - 1) ^ full << base
-            rows = [r | (outside_mask ^ r) << n for r in t._out[base : base + t.N]]
-            head = _subset_or_tables(rows[: 8 * _HEAD_BLOCKS])
-            tail = None  # the later blocks' tables, built for the first u the head leaves uncovered
-            blocks = (t.N + 7) // 8
-            for u, p in zip(outside, plus):
-                pos = neg = 0
-                plus_bytes = p.to_bytes(blocks, "little")
-                minus_bytes = (full ^ p).to_bytes(blocks, "little")
-                for table, x, y in zip(head, plus_bytes, minus_bytes):
-                    pos |= table[x]
-                    neg |= table[y]
+        minus = [full ^ p for p in plus]
+        # member i's row: the outside w it points at (sign +), below those pointing at it (sign -)
+        rows = [r | (outside_mask ^ r) << n for r in t._out[base : base + N]]
+        head = _subset_or_tables(rows[: 8 * _HEAD_BLOCKS])
+        tail = []  # the later blocks' tables, built for the first A the head leaves short
+        # S's last vertex u, with the members of sign - and + toward it; at arity 1
+        # S is empty, and a stand-in u = -1 with all members on both sides comes first
+        lasts = ([-1], [full], [full]) if arity == 1 else (outside, minus, plus)
+        for prefix in prefixes:
+            # each sign vector over S but u, -1 before +1, with its members
+            vectors = [((), full)]
+            for j in prefix:
+                vectors = [(sigma + (s,), a & m) for sigma, a in vectors for s, m in ((-1, minus[j]), (1, plus[j]))]
+            for u, minus_u, plus_u in islice(zip(*lasts), prefix[-1] + 1 if prefix else 0, None):
                 later = outside_mask >> u + 1 << u + 1
-                missed = later & ~(neg >> n & neg & pos >> n & pos)
-                if missed:
-                    # ORs only add bits, so the tail can only shrink missed
-                    if tail is None:
-                        tail = _subset_or_tables(rows[8 * _HEAD_BLOCKS :])
-                    for table, x, y in zip(tail, plus_bytes[_HEAD_BLOCKS:], minus_bytes[_HEAD_BLOCKS:]):
-                        pos |= table[x]
-                        neg |= table[y]
-                    missed = later & ~(neg >> n & neg & pos >> n & pos)
-                if missed:
-                    v = (missed & -missed).bit_length() - 1
-                    for cover, signs in ((neg >> n, (-1, -1)), (neg, (-1, 1)), (pos >> n, (1, -1)), (pos, (1, 1))):
-                        if not cover >> v & 1:
-                            return FailureWitness(c, (u, v), signs)
-            continue
-        for combo in combinations(range(len(outside)), arity):
-            for signs in product((-1, 1), repeat=arity):
-                mask = full
-                for j, s in zip(combo, signs):
-                    mask &= plus[j] if s == 1 else full ^ plus[j]
-                    if not mask:
-                        break
-                if not mask:
-                    return FailureWitness(c, tuple(outside[j] for j in combo), signs)
+                first = None  # the least w missed on S, with its first missing sign vector
+                for sigma, a in vectors:
+                    neg_bytes = (a & minus_u).to_bytes(blocks, "little")
+                    pos_bytes = (a & plus_u).to_bytes(blocks, "little")
+                    neg = pos = 0
+                    for table, x, y in zip(head, neg_bytes, pos_bytes):
+                        neg |= table[x]
+                        pos |= table[y]
+                    if later & ~(neg >> n & neg & pos >> n & pos):
+                        # ORs only add bits, so the tail can only shrink the miss
+                        tail = tail or _subset_or_tables(rows[8 * _HEAD_BLOCKS :])
+                        for table, x, y in zip(tail, neg_bytes[_HEAD_BLOCKS:], pos_bytes[_HEAD_BLOCKS:]):
+                            neg |= table[x]
+                            pos |= table[y]
+                        missed = later & ~(neg >> n & neg & pos >> n & pos)
+                        w = (missed & -missed).bit_length() - 1
+                        if missed and (first is None or w < first[0]):
+                            side, s = (pos, 1) if (neg >> n & neg) >> w & 1 else (neg, -1)
+                            first = w, sigma + (s, 1 if side >> n + w & 1 else -1)
+                if first:
+                    # at arity 1 the stand-in u and its sign drop out
+                    vertices = (*map(outside.__getitem__, prefix), u, first[0])
+                    return FailureWitness(c, vertices[-arity:], first[1][-arity:])
     t.certified = True
     return True
 

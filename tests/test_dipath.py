@@ -194,7 +194,7 @@ def test_surface_detects_impossible_genus():
 def test_surface_palette_breach_raises(monkeypatch):
     # greedy filling every free class leaves no room for the 11 strip colours
     free = surface_parameters(2).free_classes
-    monkeypatch.setattr(dipath_module, "greedy_two_dipath", lambda g, o: DipathColouring({}, free))
+    monkeypatch.setattr(dipath_module, "_greedy", lambda g, o, backs: DipathColouring({}, free))
     with pytest.raises(InvariantViolation, match=rf"^surface palette {free + 11} exceeds 138g-162$"):
         surface_two_dipath(toroidal_grid(4, 4, seed=0), 2)
 

@@ -30,7 +30,7 @@ from orichrome.errors import (
 )
 from orichrome import targets
 from orichrome.rng import SplitMix64, derive_seed
-from orichrome.targets import _points_at
+from orichrome.targets import _cyclic_bipartite_target, _points_at
 
 from conftest import cyclic_k44_target, pool_arcs
 
@@ -244,6 +244,82 @@ def test_arity_2_tail_blocks_match_naive(monkeypatch):
     assert set(outcomes) == {True, False}
 
 
+def _residue_circulant(p: int, d: int) -> FullTarget:
+    """Oriented K_{p,p}: class-1 vertex i points at class-2 vertex j when
+    j - i is a quadratic residue mod p."""
+    return _cyclic_bipartite_target(p, tuple(sorted({x * x % p for x in range(1, p)})), d)
+
+
+@pytest.mark.parametrize("p", [19, 23, 31])
+def test_arity_3_residue_circulants_certify(p):
+    t = _residue_circulant(p, 3)
+    assert naive_verify(t) is True
+    assert verify_full(t) is True and t.certified
+
+
+def _reversed(t: FullTarget, u: int, v: int) -> FullTarget:
+    """t with its arc u -> v turned round."""
+    out = list(t._out)
+    _point(out, v, u, 1)
+    return FullTarget._from_out_masks(t.k, t.d, t.N, out, None)
+
+
+@pytest.mark.parametrize(
+    "p, arc",
+    [(19, (14, 19)), (19, (6, 30)), (19, (18, 36)), (19, (37, 15)), (23, (0, 23)), (23, (9, 41)), (31, (0, 32))],
+)
+def test_arity_3_reversals_match_naive(p, arc):
+    # one reversed arc of a certified circulant: the witness, when there is
+    # one, can lie deep in the scan order, e.g. class 1, (29, 36, 37), (-1, -1, -1)
+    t = _reversed(_residue_circulant(p, 3), *arc)
+    assert witness_key(verify_full(t)) == naive_verify(t)
+
+
+def test_arity_3_and_4_witnesses_match_naive_on_fixed_sample():
+    # at arity 4 no residue circulant inside the budget certifies, so the
+    # failing side is all there is to compare there
+    rng = SplitMix64(derive_seed(0, 0xA3A4))
+    outcomes = {3: [], 4: []}
+    for i in range(120):
+        d = 3 + i % 2
+        k = 2 + rng.randrange(3 if d == 3 else 2)
+        N = 2 + rng.randrange(15 if d == 3 else 8)
+        t = biased_target(k, d, N, (0.5, 0.5, 0.8)[i % 3], rng)
+        expected = naive_verify(t)
+        assert witness_key(verify_full(t)) == expected, (i, k, d, N)
+        outcomes[d].append(expected)
+    for d in (3, 4):
+        failures = [w for w in outcomes[d] if w is not True]
+        assert len({signs for _, _, signs in failures}) >= 4
+
+
+@pytest.mark.parametrize("N, seed", [(49, 0), (58, 5), (59, 2), (63, 6), (64, 3)])
+def test_arity_3_tail_blocks_match_naive(monkeypatch, N, seed):
+    # fair coins on more than 48 members: before the first miss the head
+    # leaves a few member masks short that the tail then covers (23 at
+    # N = 59, 14 at N = 64)
+    subset_or_tables = targets._subset_or_tables
+    tables_for = []  # how many member rows each _subset_or_tables call tabulates
+
+    def recording(rows):
+        tables_for.append(len(rows))
+        return subset_or_tables(rows)
+
+    monkeypatch.setattr(targets, "_subset_or_tables", recording)
+    t = random_target(2, 3, N, seed)
+    assert witness_key(verify_full(t)) == naive_verify(t)
+    assert N - 48 in tables_for, "the tail blocks were never tabulated"
+
+
+def test_one_class_target_certifies_at_every_arity():
+    # k = 1 leaves no outside vertex: arity 0, one empty subset, nothing to miss
+    for d in (1, 2, 3, 9):
+        t = FullTarget(1, d, 5, [])
+        assert naive_verify(t) is True
+        assert verify_full(t) is True and t.certified
+    assert minimal_full_N(1, 1) == minimal_full_N(1, 2) == 1
+
+
 def test_points_at_matches_member_loop():
     for seed, (k, N) in enumerate([(2, 3), (3, 8), (4, 9), (5, 17)]):
         t = random_target(k, 2, N, seed)
@@ -259,16 +335,22 @@ def test_points_at_matches_member_loop():
                 assert _points_at(t, c, u) == mask
 
 
-def test_verify_budget_gate_precedes_the_scan(monkeypatch):
-    # 10 * C(1332, 2) * 4 = 35.5M checks over the 20M budget: refused before
-    # a single column is read, however fast the scan
+@pytest.mark.parametrize(
+    "k, d, N",
+    # 10 * C(1332, 2) * 4 = 35.5M and 2 * C(250, 3) * 8 = 41.2M checks, both
+    # over the 20M budget
+    [(10, 2, 148), (2, 3, 250)],
+    ids=["arity-2", "arity-3"],
+)
+def test_verify_budget_gate_precedes_the_scan(monkeypatch, k, d, N):
+    # refused before a single column is read, however fast the scan
     def no_scan(*args):
         raise AssertionError("verify_full scanned a target over budget")
 
     monkeypatch.setattr(targets, "_points_at", no_scan)
     monkeypatch.setattr(targets, "_subset_or_tables", no_scan)
     with pytest.raises(BudgetExceeded):
-        verify_full(FullTarget._from_out_masks(10, 2, 148, [0] * 1480, None))
+        verify_full(FullTarget._from_out_masks(k, d, N, [0] * (k * N), None))
 
 
 def test_json_round_trip():
