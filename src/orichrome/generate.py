@@ -13,7 +13,7 @@ from itertools import combinations, permutations, product
 from typing import Iterator
 
 from .errors import DomainError, InvariantViolation, TooLarge
-from .graphs import _MAX_FILE_VERTICES, OrientedGraph, SimpleGraph, _transpose, bits, count_text
+from .graphs import _MAX_FILE_VERTICES, OrientedGraph, SimpleGraph, bits, count_text
 from .rng import SplitMix64, derive_seed
 
 _PAIR_STATE_CAP = 5  # 3^C(5,2) oriented graphs
@@ -50,7 +50,8 @@ def _orient(rows: list, rng: SplitMix64) -> OrientedGraph:
     u's higher neighbours for each u in turn.
 
     A tail's out-row gets its lower heads while they are walked and its
-    higher ones on its own turn, so every out-row comes out sorted.
+    higher ones on its own turn, so every out-row comes out sorted.  Only
+    the out-rows are built; the graph builds its in-rows on first read.
     """
     # one batch of the coins coin() would draw edge by edge; coin i is bit i,
     # so the binary digits are read from the right
@@ -68,8 +69,7 @@ def _orient(rows: list, rng: SplitMix64) -> OrientedGraph:
             else:
                 out[v].append(u)
         i = j
-    out = list(map(tuple, out))
-    return OrientedGraph._from_rows(out, _transpose(out))
+    return OrientedGraph._from_rows(list(map(tuple, out)))
 
 
 def toroidal_grid_graph(rows: int, cols: int) -> SimpleGraph:

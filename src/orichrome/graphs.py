@@ -2,13 +2,15 @@
 
 An oriented graph here is a loopless digraph with at most one arc per
 unordered vertex pair (no anti-parallel pairs).  Vertices are 0..n-1.
-Both graph classes store sorted neighbour tuples: an OrientedGraph two per
-vertex (out- and in-neighbours), a SimpleGraph one, so memory and neighbour
-walks grow with n + m; isolated vertices share the empty tuple.  Bitset rows
-(Python ints) are built from the tuples on demand for the small-graph
-routines that want mask algebra, and serve as working state inside
-directed_square.  Graphs are immutable after construction, so instances can
-be shared freely.
+Both graph classes store sorted neighbour tuples: an OrientedGraph an
+out-row per vertex, and an in-row per vertex built from the out-rows on
+first read and kept, a SimpleGraph one row per vertex, so memory and
+neighbour walks grow with n + m; isolated vertices share the empty tuple.
+Code that needs only arcs (the reducer, ``arcs()``, the writers) never
+builds the in-rows.  Bitset rows (Python ints) are built from the tuples
+on demand for the small-graph routines that want mask algebra, and serve
+as working state inside directed_square.  Graphs are immutable after
+construction, so instances can be shared freely.
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ def _transpose(rows: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
 class OrientedGraph:
     """Immutable oriented graph on vertices 0..n-1."""
 
-    __slots__ = ("n", "_out", "_in")
+    __slots__ = ("n", "_out", "_in_rows")
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -93,23 +95,31 @@ class OrientedGraph:
             else:
                 succ[u] = {v: None}
         self._out = [tuple(sorted(row)) if row else () for row in succ]
-        del succ  # free the out-sets before the in-rows are built
-        self._in = _transpose(self._out)
+        self._in_rows = None
 
     @classmethod
-    def _from_rows(cls, out: list[tuple[int, ...]], inc: list[tuple[int, ...]]) -> "OrientedGraph":
-        """Trusted constructor from sorted out- and in-rows; skips validation."""
+    def _from_rows(cls, out: list[tuple[int, ...]], inc: list[tuple[int, ...]] | None = None) -> "OrientedGraph":
+        """Trusted constructor from sorted out-rows, and the in-rows if a caller
+        has them already; skips validation.  Without ``inc`` the in-rows are
+        built on first read of ``_in``."""
         g = cls.__new__(cls)
         g.n = len(out)
         g._out = out
-        g._in = inc
+        g._in_rows = inc
         return g
 
     @classmethod
     def _from_masks(cls, out: list[int]) -> "OrientedGraph":
         """Trusted constructor from out-masks; skips invariant validation."""
-        rows = _rows(out)
-        return cls._from_rows(rows, _transpose(rows))
+        return cls._from_rows(_rows(out))
+
+    @property
+    def _in(self) -> list[tuple[int, ...]]:
+        """Sorted in-rows: ``_transpose`` of the out-rows, built on first read and kept."""
+        inc = self._in_rows
+        if inc is None:
+            inc = self._in_rows = _transpose(self._out)
+        return inc
 
     # -- adjacency -------------------------------------------------------
 
@@ -326,7 +336,8 @@ def back_degrees(g, order: Iterable[int]) -> list[int]:
 # -- file formats -----------------------------------------------------------
 
 # checked before allocating: ~100x the largest benchmarked graph; an
-# arc-free graph at the cap holds two 8 MB row lists sharing one empty tuple
+# arc-free graph at the cap holds one 8 MB out-row list sharing one empty
+# tuple, and its in-rows only once something reads them
 _MAX_FILE_VERTICES = 1_000_000
 
 

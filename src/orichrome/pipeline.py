@@ -31,7 +31,7 @@ from .errors import (
     InvariantViolation,
     NotReduced,
 )
-from .graphs import OrientedGraph, _transpose, canonical_json, degeneracy_ordering
+from .graphs import OrientedGraph, canonical_json, degeneracy_ordering
 from .targets import LazyTarget
 
 
@@ -44,6 +44,14 @@ class _WorkGraph:
     removed vertex), so all such vertices share one immutable empty map.
     A removed vertex keeps its own map: nothing adds to or removes from a
     dead vertex's map, so it holds its arcs at removal until ``add_vertex``.
+
+    The maps are built from the input's out-rows alone, so its in-rows are
+    never read: a map lists its out-neighbours, then its in-neighbours, each
+    ascending.  No reader depends on that order.  The reducer and the replay
+    sort a map before completing or constraining it, ``pop_edge``'s heap
+    pushes and ``min`` judge each key on its own, ``remove_vertex`` and
+    ``add_vertex`` touch every key once, and ``_embed_pool`` and
+    ``_constraints`` walk sorted keys.
     """
 
     __slots__ = ("nb", "alive")
@@ -51,7 +59,16 @@ class _WorkGraph:
     @classmethod
     def from_graph(cls, g: OrientedGraph) -> "_WorkGraph":
         wk, empty = cls(), MappingProxyType({})
-        wk.nb = [dict.fromkeys(o, 1) | dict.fromkeys(i, -1) if o or i else empty for o, i in zip(g._out, g._in)]
+        out = g._out
+        nb = [dict.fromkeys(row, 1) if row else empty for row in out]
+        for u, row in enumerate(out):
+            for v in row:
+                nv = nb[v]
+                if nv is empty:
+                    nb[v] = {u: -1}
+                else:
+                    nv[u] = -1
+        wk.nb = nb
         wk.alive = [True] * g.n
         return wk
 
@@ -142,7 +159,7 @@ def reduce_graph(g: OrientedGraph) -> ReductionResult:
     """
     wk = _WorkGraph.from_graph(g)
     nb, alive = wk.nb, wk.alive
-    deg = g.degrees()
+    deg = list(map(len, nb))
     # seeded with the vertices whose degree qualifies; ascending lists are heaps
     vertex_heap = [v for v, d in enumerate(deg) if d <= 3]
     edge_heap = [v for v, d in enumerate(deg) if d in (4, 5)]
@@ -222,7 +239,7 @@ def reduce_graph(g: OrientedGraph) -> ReductionResult:
     core_vertices = tuple(compress(range(g.n), alive))
     index = {v: i for i, v in enumerate(core_vertices)}
     rows = [tuple(sorted([index[b] for b, sign in nb[a].items() if sign == 1])) for a in core_vertices]
-    core = OrientedGraph._from_rows(rows, _transpose(rows))
+    core = OrientedGraph._from_rows(rows)
     return ReductionResult(core=core, core_vertices=core_vertices, steps=steps, work=wk)
 
 
@@ -246,8 +263,8 @@ class ChargeLedger:
     so every sum stays exact.
     """
 
-    def __init__(self, core: OrientedGraph):
-        self.initial: dict[int, int | Fraction] = {v: d - 6 for v, d in enumerate(core.degrees())}
+    def __init__(self, degrees: list[int]):
+        self.initial: dict[int, int | Fraction] = {v: d - 6 for v, d in enumerate(degrees)}
         self.final = dict(self.initial)
         self.transfers: list[tuple[int, int, Fraction]] = []
 
@@ -270,10 +287,11 @@ def discharge_check(core: OrientedGraph, genus: int) -> ChargeLedger:
     """
     params = surface_parameters(genus)
     _check_reduced(core)
-    ledger = ChargeLedger(core)
+    degree = core.degrees()  # one list for the ledger, the transfers and the cap
+    ledger = ChargeLedger(degree)
     half = Fraction(1, 2)
     fifth = Fraction(1, 5)
-    for v, d in enumerate(core.degrees()):
+    for v, d in enumerate(degree):
         if d == 4:
             for u in core.neighbours(v):
                 ledger.transfer(u, v, half)
@@ -284,8 +302,9 @@ def discharge_check(core: OrientedGraph, genus: int) -> ChargeLedger:
         raise InvariantViolation("discharging left a negative charge")
     if not ledger.conservation_ok():
         raise InvariantViolation("discharging changed the total charge")
-    if core.max_degree() > params.core_degree_limit:
-        raise GenusAssumptionViolated(f"core max degree {core.max_degree()} exceeds {params.core_degree_limit}")
+    top = max(degree, default=0)
+    if top > params.core_degree_limit:
+        raise GenusAssumptionViolated(f"core max degree {top} exceeds {params.core_degree_limit}")
     return ledger
 
 

@@ -19,8 +19,11 @@ from orichrome import (
     serialize_edge_list,
     stacked_triangulation,
 )
+from orichrome.dipath import _strip_arcs
 from orichrome.errors import InvariantViolation, ParseError, TooLarge
-from orichrome.graphs import bits
+from orichrome.generate import random_tournament, toroidal_grid
+from orichrome.graphs import _transpose, bits
+from orichrome.pipeline import reduce_graph
 
 seeds = st.integers(min_value=0, max_value=2**62)
 sizes = st.integers(min_value=1, max_value=12)
@@ -193,14 +196,81 @@ def test_random_defect_messages_match_mask_reference(valid, rnd):
         _assert_same_graph(OrientedGraph(n, arcs), ref)
 
 
+# -- in-rows built on first read -----------------------------------------------
+
+
+def _peeled_core(n, arcs, rnd):
+    """The relabelled core of n pendants of degree <= 3 on a 7-vertex
+    tournament: the pendants peel and the tournament stays."""
+    arcs = [(u + n, v + n) for u, v in random_tournament(7, rnd.randrange(2**32)).arcs()]
+    for p in range(n):
+        for w in rnd.sample(range(n, n + 7), rnd.randint(0, 3)):
+            arcs.append((p, w) if rnd.random() < 0.5 else (w, p))
+    core = reduce_graph(OrientedGraph(n + 7, arcs)).core
+    assert core.n == 7
+    return core
+
+
+def _strip(n, arcs, rnd):
+    g = OrientedGraph(n, arcs)
+    return _strip_arcs(g, rnd.sample(range(n), rnd.randint(0, n)))
+
+
+# each path builds an oriented graph from (n, arcs, rnd); every path but the
+# strip, which reads its input's in-rows, leaves the in-rows unbuilt
+BUILD_PATHS = {
+    "constructor": lambda n, arcs, rnd: OrientedGraph(n, arcs),
+    "rows": lambda n, arcs, rnd: OrientedGraph._from_rows(list(OrientedGraph(n, arcs)._out)),
+    "masks": lambda n, arcs, rnd: OrientedGraph._from_masks([sum(1 << v for u, v in arcs if u == x) for x in range(n)]),
+    "random-orientation": lambda n, arcs, rnd: random_orientation(SimpleGraph(n, arcs), rnd.randrange(2**62)),
+    "random-tournament": lambda n, arcs, rnd: random_tournament(n, rnd.randrange(2**62)),
+    "toroidal-grid": lambda n, arcs, rnd: toroidal_grid(3 + n % 5, 3 + rnd.randrange(5), rnd.randrange(2**62)),
+    "reduced-core": _peeled_core,
+    "strip": _strip,
+}
+
+
+@pytest.mark.parametrize("path", sorted(BUILD_PATHS))
+@given(arc_lists(), st.randoms(use_true_random=False), st.sampled_from(("_in", "degrees", "neighbours", "rows")))
+def test_in_rows_built_on_first_read_match_eager_rows(path, graph, rnd, first):
+    g = BUILD_PATHS[path](*graph, rnd)
+    assert (g._in_rows is None) == (path != "strip")
+    # the eager in-rows: the mask reference's, the ones every graph held at construction before
+    ref = _MaskOrientedGraph(g.n, g.arcs())
+    eager = [tuple(bits(ref.in_mask(u))) for u in range(g.n)]
+    reads = {
+        "_in": lambda: g._in,
+        "degrees": g.degrees,
+        "neighbours": lambda: [g.neighbours(u) for u in range(g.n)],
+        "rows": g.neighbour_rows,
+    }
+    reads[first]()  # whichever read comes first builds the in-rows
+    rows = g._in
+    assert rows == _transpose(g._out) == eager
+    assert g._in is rows  # kept, not rebuilt
+    assert g.degrees() == [ref.degree(u) for u in range(g.n)]
+    assert [g.neighbours(u) for u in range(g.n)] == [ref.neighbours(u) for u in range(g.n)]
+    assert g.neighbour_rows() == [out + inc for out, inc in zip(g._out, eager)]
+    assert (g.max_degree(), g.min_degree()) == (max(g.degrees(), default=0), min(g.degrees(), default=0))
+
+
+def test_writers_leave_the_in_rows_unbuilt():
+    g = random_orientation(stacked_triangulation(200, 0), 0)
+    text, js = serialize_edge_list(g), graph_to_json(g)
+    assert g._in_rows is None
+    assert parse_edge_list(text) == graph_from_json(js) == g
+
+
 @pytest.mark.parametrize(
     "build",
     [lambda: OrientedGraph(10**6, []), lambda: graph_from_json('{"n": 1000000, "arcs": []}')],
     ids=["constructor", "json"],
 )
 def test_arc_free_graph_at_file_cap_is_small(build):
-    # two 8 MB row lists sharing one empty tuple; bitset rows took two lists
-    # of ints and a set per vertex would take about 216 MB
+    # one 8 MB out-row list sharing one empty tuple, beside the constructor's
+    # 8 MB list of out-sets, peaks near 16 MiB while the in-rows stay
+    # unbuilt; building them adds 8 MB, and a set per vertex would take
+    # about 216 MB
     tracemalloc.start()
     try:
         g = build()
@@ -208,7 +278,7 @@ def test_arc_free_graph_at_file_cap_is_small(build):
     finally:
         tracemalloc.stop()
     assert g.n == 10**6 and g.arc_count == 0
-    assert peak < 40 * 2**20
+    assert peak < 20 * 2**20
 
 
 class _MaskSimpleGraph:

@@ -593,6 +593,47 @@ def test_work_graph_is_one_signed_map_per_vertex():
     assert peak < 4.5 * 2**20
 
 
+def _assert_maps_match_out_and_in_rows(g: OrientedGraph) -> None:
+    """from_graph's maps, built from the out-rows alone, hold what merging
+    each vertex's out-row (sign 1) and in-row (sign -1) holds."""
+    nb = pipeline._WorkGraph.from_graph(g).nb
+    assert g._in_rows is None
+    assert nb == [dict.fromkeys(o, 1) | dict.fromkeys(i, -1) for o, i in zip(g._out, g._in)]
+    empty = [row for row in nb if not row]
+    assert all(row is empty[0] for row in empty)  # arc-free vertices share one read-only map
+
+
+@settings(deadline=None, max_examples=60)
+@given(seeds, st.integers(min_value=0, max_value=30), st.floats(min_value=0, max_value=1), st.integers(min_value=0, max_value=4))
+def test_work_graph_maps_match_out_and_in_rows(seed, n, density, isolated):
+    # isolated vertices at both ends of the label range
+    arcs = random_oriented_graph(n, seed, density).arcs()
+    _assert_maps_match_out_and_in_rows(OrientedGraph(n + 2 * isolated, [(u + isolated, v + isolated) for u, v in arcs]))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: random_orientation(stacked_triangulation(3000, 1), 2),
+        lambda: toroidal_grid(40, 40, 3),
+        lambda: random_orientation(_torus_triangulation(30), 4),
+        lambda: OrientedGraph(50, []),
+    ],
+    ids=["stacked-3000", "grid-40x40", "torus-30x30", "arc-free"],
+)
+def test_work_graph_maps_match_out_and_in_rows_on_bench_families(make):
+    _assert_maps_match_out_and_in_rows(make())
+
+
+def test_colouring_a_peeled_graph_leaves_its_in_rows_unbuilt():
+    # the reducer and the replay read the work graph's maps and _valid reads
+    # the out-rows, so a graph that peels to nothing never transposes
+    g = random_orientation(stacked_triangulation(500, 0), 0)
+    res = colour_surface_graph(g, 2)
+    assert res.valid and res.core_size == 0
+    assert g._in_rows is None
+
+
 def test_in_only_vertex_gains_completion_arc():
     # 1 and 2 have only in-arcs; removing 0 completes its neighbourhood by
     # 1 -> 2, an out-arc of 1 that the rows of 2 and of isolated 3 must not see
