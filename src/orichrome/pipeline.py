@@ -309,10 +309,20 @@ def discharge_check(core: OrientedGraph, genus: int) -> ChargeLedger:
 
 
 def _valid(g: OrientedGraph, target, mapping: dict[int, int]) -> bool:
-    """Every arc of g lands on a target arc; pool images stay injective."""
-    orientation = target.orientation
+    """Every arc of g lands on a target arc; pool images stay injective.
+    A tail's row is one ``realizes`` test of its heads' image mask; a row
+    that fails it, or every row once an image lies outside the target, takes
+    the per-arc walk, so a missing image still raises InvalidClass."""
+    realizes, orientation = target.realizes, target.orientation
+    masks = 0 <= min(mapping.values(), default=0) and max(mapping.values(), default=0) < target.vertex_count
     for u, row in enumerate(g._out):
         image = mapping[u]
+        if masks:
+            heads = 0
+            for v in row:
+                heads |= 1 << mapping[v]
+            if realizes(image, heads, 0):
+                continue
         for v in row:
             if orientation(image, mapping[v]) != 1:
                 return False
@@ -417,36 +427,53 @@ def _replay(target, reduction: ReductionResult, mapping: dict[int, int]) -> int:
     ``mapping``: a vertex step against <= 3 constraints, an edge step's weak
     endpoint against <= 10 and then its low one against <= 5, each into a
     class disjoint from its constraint images.  Every arc a step touches is
-    re-checked against the target's realized orientations; returns the count."""
+    re-checked against the target's realized orientations; returns the count.
+    One walk of a vertex's neighbours builds its constraints, their classes'
+    mask and its head and tail image masks; its check is one ``realizes``
+    test of those, and only a failed test walks the arcs to name the first."""
     wk, nb = reduction.work, reduction.work.nb
     # the class of every image placed so far, kept beside the mapping
     classes = {x: target.class_of(x) for x in dict.fromkeys(mapping.values())}
-    query, orientation = target.query, target.orientation
-    free = range(1, target.free_classes + 1)
+    query, orientation, realizes = target.query, target.orientation, target.realizes
 
-    def place(v: int, nv: list[int], avoid: set[int]) -> None:
-        """Map v into the first free class outside ``avoid``, which gains the
-        classes of v's constraint images; ``nv`` is v's sorted neighbours."""
-        constraints = _constraints(mapping, nb[v], nv)
-        for x in constraints:
-            avoid.add(classes[x])
-        for c in free:
-            if c not in avoid:
-                break
-        else:
+    def place(v: int, nv: list[int], avoid: int) -> list[int]:
+        """Map v into the lowest free class outside the class mask ``avoid``
+        and its constraint images' classes; ``nv`` is v's sorted neighbours.
+        Returns [heads, tails]: the masks of the images v points at and of
+        those pointing at v."""
+        signs, constraints, heads, tails = nb[v], {}, 0, 0
+        for u in nv:
+            image = mapping.get(u)
+            if image is None:
+                continue
+            sign = signs[u]
+            if constraints.setdefault(image, sign) != sign:
+                raise ConstraintConflict(f"image {image} required with both orientations")
+            avoid |= 1 << classes[image]
+            if sign == 1:
+                heads |= 1 << image
+            else:
+                tails |= 1 << image
+        avoid |= 1  # bit 0 is the pool's class, so the lowest zero bit is a free one
+        c = (~avoid & (avoid + 1)).bit_length() - 1
+        if c > target.free_classes:
             raise CapacityExceeded(f"all {target.free_classes} free classes collide with constraint images")
         mapping[v] = x = query(c, constraints)
         classes[x] = c
+        return [heads, tails]
 
-    def check(v: int, nv: list[int]) -> int:
-        """Check each arc between v and its sorted neighbours ``nv``, reported as (tail, head)."""
-        signs, x = nb[v], mapping[v]
-        for u in nv:
-            if signs[u] == 1:
-                if orientation(x, mapping[u]) != 1:
-                    raise InvariantViolation(f"replay produced an unrealized arc ({v},{u})")
-            elif orientation(mapping[u], x) != 1:
-                raise InvariantViolation(f"replay produced an unrealized arc ({u},{v})")
+    def check(v: int, nv: list[int], heads: int, tails: int) -> int:
+        """Check each arc between v and its sorted neighbours ``nv``, whose
+        images ``place`` masked, reported as (tail, head)."""
+        x = mapping[v]
+        if not realizes(x, heads, tails):
+            signs = nb[v]
+            for u in nv:
+                if signs[u] == 1:
+                    if orientation(x, mapping[u]) != 1:
+                        raise InvariantViolation(f"replay produced an unrealized arc ({v},{u})")
+                elif orientation(mapping[u], x) != 1:
+                    raise InvariantViolation(f"replay produced an unrealized arc ({u},{v})")
         return len(nv)
 
     debug_checks = 0
@@ -457,21 +484,23 @@ def _replay(target, reduction: ReductionResult, mapping: dict[int, int]) -> int:
             v = step.vertex
             wk.add_vertex(v)
             nv = sorted(nb[v])
-            place(v, nv, set())
-            debug_checks += check(v, nv)
+            debug_checks += check(v, nv, *place(v, nv, 0))
         else:
             v, w = step.low_vertex, step.other
             nv, nw = sorted(nb[v]), sorted(nb[w])
             # v and w are not adjacent here, so re-mapping w leaves v's constraints
-            # as they are; w's class avoids their classes, so its image is none of them
-            place(w, nw, {classes[x] for x in _constraints(mapping, nb[v], nv)})
+            # as they are; w's class avoids their classes (a sum of distinct bits is
+            # their OR), so its image is none of them
+            w_masks = place(w, nw, sum({1 << classes[x] for x in _constraints(mapping, nb[v], nv)}))
             wk.add_arc(*step.arc)
             # both lists gain the arc at its sorted place, so w's check covers it
             insort(nv, w)
             insort(nw, v)
-            place(v, nv, set())
-            debug_checks += check(w, nw)
-            debug_checks += check(v, nv)
+            v_masks = place(v, nv, 0)
+            # w's heads, or its tails when it is the arc's head, gain v's new image
+            w_masks[step.arc[1] == w] |= 1 << mapping[v]
+            debug_checks += check(w, nw, *w_masks)
+            debug_checks += check(v, nv, *v_masks)
 
     return debug_checks
 

@@ -11,7 +11,7 @@ RestrictedTarget merges the top classes into a reserved pool and deletes the
 arcs inside the pool; LazyTarget materialises the same kind of object on
 demand, minting vertices and fixing orientations only when queried.  Both
 answer the same calls: reserve_pool, query, install_pool_arc, class_of,
-orientation and free_classes.
+orientation, realizes and free_classes.
 
 All three keep one bit row per vertex, bit u of ``_out[x]`` set for the arc
 x -> u, and answer orientation, vertex_count and to_oriented_graph from those
@@ -566,6 +566,11 @@ class _PoolRows(_BitRows):
         _check_pool_arc(self, a, b, len(self._out))
         self._out[a] |= 1 << b
         self._in[b] |= 1 << a
+
+    def realizes(self, x: int, heads: int, tails: int) -> bool:
+        """Whether x -> h for every bit h of ``heads`` and t -> x for every
+        bit t of ``tails``; x must be a vertex, unchecked."""
+        return not (heads & ~self._out[x] or tails & ~self._in[x])
 
 
 class RestrictedTarget(_PoolRows):

@@ -37,6 +37,7 @@ from orichrome.errors import (
     ConstraintConflict,
     DomainError,
     GenusAssumptionViolated,
+    InvalidClass,
     InvariantViolation,
     NotReduced,
     OrichromeError,
@@ -539,6 +540,33 @@ def test_valid_rejects_reversed_arc_and_shared_pool_image(make_target):
 
 
 @pytest.mark.parametrize("make_target", POOLS.values(), ids=list(POOLS))
+@pytest.mark.parametrize("offset", [0, 1, None], ids=["vertex-count", "one-above", "negative"])
+def test_valid_names_an_image_the_target_lacks(make_target, offset):
+    # the bad image sits at a tail, then at the head of a row's second arc,
+    # then on an arc-free vertex, where only the pool check asks for it
+    g, t = OrientedGraph(4, [(0, 1), (0, 2)]), make_target()
+    mapping = embed(g, t)
+    bad = -1 if offset is None else t.vertex_count + offset
+    message = rf"^vertex {bad} outside 0\.\.{t.vertex_count - 1}$"
+    for u in (0, 2, 3):
+        with pytest.raises(InvalidClass, match=message):
+            pipeline._valid(g, t, mapping | {u: bad})
+    # a reversed first arc decides before the walk reaches the bad head
+    assert not pipeline._valid(g, t, mapping | {1: mapping[0], 0: mapping[1], 2: bad})
+
+
+@pytest.mark.parametrize("make_target", POOLS.values(), ids=list(POOLS))
+def test_valid_rejects_a_reversed_arc_after_the_first_in_its_row(make_target):
+    # 0's row is [1, 2]: its first arc lands on a target arc, its second on
+    # a reversed one, and an earlier row is realized in full
+    t = make_target()
+    mapping = embed(OrientedGraph(4, [(3, 0), (0, 1), (2, 0)]), t)
+    g = OrientedGraph(4, [(3, 0), (0, 1), (0, 2)])
+    assert not pipeline._valid(g, t, mapping)
+    assert pipeline._valid(OrientedGraph(4, [(3, 0), (0, 1), (2, 0)]), t, mapping)
+
+
+@pytest.mark.parametrize("make_target", POOLS.values(), ids=list(POOLS))
 def test_embed_pigeonhole(make_target):
     g, t = random_tournament(4, 1), make_target()
     assert pipeline._valid(g, t, embed(g, t))
@@ -751,6 +779,65 @@ def test_replay_rejects_unrealized_arc_at_edge_step():
     assert steps[last] == pipeline.EdgeStep((15, 17), 15, 17)
     with pytest.raises(InvariantViolation, match=r"^replay produced an unrealized arc \(15,17\)$"):
         colour_surface_graph(g, 2, _UnfixingTarget(114, 12, fixing=6))
+
+
+class _SkippingTarget(LazyTarget):
+    """Answers query ``skip`` (counted from 0) with a fresh class vertex,
+    fixing no arc, and every other query as LazyTarget does."""
+
+    def __init__(self, free_classes: int, pool_capacity: int, skip: int):
+        super().__init__(free_classes, pool_capacity)
+        self.skip = skip
+
+    def query(self, class_index: int, constraints: dict[int, int]) -> int:
+        self.skip -= 1
+        if self.skip == -1:
+            return self._mint(class_index)
+        return super().query(class_index, constraints)
+
+
+def test_edge_step_checks_weak_endpoint_against_low_endpoints_new_image():
+    # hub 0 points at every vertex of a 4x4 grid, so 0 is the lowest
+    # neighbour of low endpoint 1 in the edge step that removed (1,4).
+    # Query 49 re-maps weak endpoint 4 and query 50, left unfixed, re-maps 1.
+    # 4's check comes first and must read 1's new image, so it names the
+    # restored arc; against 1's old image it passes, and 1's own check names
+    # its arc from the hub first
+    grid = toroidal_grid(4, 4, 0)
+    g = OrientedGraph(17, [(a + 1, b + 1) for a, b in grid.arcs()] + [(0, x) for x in range(1, 17)])
+    steps = reduce_graph(g).steps
+    i = steps.index(pipeline.EdgeStep((1, 4), 1, 4))
+    assert sum(2 if s.kind == "remove-edge" else 1 for s in steps[i + 1 :]) == 49
+    params = surface_parameters(2)
+    target = _SkippingTarget(params.free_classes, params.reserved_capacity, skip=50)
+    with pytest.raises(InvariantViolation, match=r"^replay produced an unrealized arc \(1,4\)$"):
+        colour_surface_graph(g, 2, target)
+
+
+class _OrientationCountingTarget(LazyTarget):
+    """Counts ``orientation`` calls."""
+
+    orientation_calls = 0
+
+    def orientation(self, a: int, b: int) -> int | None:
+        self.orientation_calls += 1
+        return super().orientation(a, b)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: toroidal_grid(20, 20, 5), lambda: random_orientation(stacked_triangulation(400, 7), 7)],
+    ids=["grid", "stacked"],
+)
+def test_realized_replay_and_validation_ask_no_orientation(make):
+    # both peel to an empty core, the grid through edge steps; every check of
+    # a replayed vertex and every row _valid reads is one realizes test, and
+    # only a failed one walks the arcs by orientation
+    params = surface_parameters(2)
+    target = _OrientationCountingTarget(params.free_classes, params.reserved_capacity)
+    res = colour_surface_graph(make(), 2, target)
+    assert res.valid and res.core_size == 0 and res.debug_checks > 0
+    assert target.orientation_calls == 0
 
 
 class _QueryCountingTarget(LazyTarget):

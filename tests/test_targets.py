@@ -673,6 +673,56 @@ def test_restricted_orientation_matches_reference(name, data):
             assert _outcome(r.orientation, a, b) == _outcome(_reference_orientation, r, installed, a, b)
 
 
+def _assert_realizes_matches_orientation(t, data) -> None:
+    """``realizes(x, heads, tails)`` against one orientation call per bit, for
+    drawn x and masks: mostly images x realizes, with at most one arbitrary
+    vertex in each mask, so both answers come up."""
+    n = t.vertex_count
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    for _ in range(8):
+        x = data.draw(vertex)
+        outs = [h for h in range(n) if t.orientation(x, h) == 1]
+        ins = [u for u in range(n) if t.orientation(u, x) == 1]
+        masks = []
+        for realized in (outs, ins):
+            chosen = data.draw(st.sets(st.sampled_from(realized)) if realized else st.just(set()))
+            chosen |= data.draw(st.sets(vertex, max_size=1))
+            masks.append(chosen)
+        heads, tails = masks
+        expected = all(t.orientation(x, h) == 1 for h in heads) and all(t.orientation(u, x) == 1 for u in tails)
+        assert t.realizes(x, sum(1 << h for h in heads), sum(1 << u for u in tails)) is expected
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(min_value=1, max_value=3), st.integers(min_value=0, max_value=4), st.data())
+def test_lazy_realizes_matches_orientation(free_classes, pool_capacity, data):
+    t = LazyTarget(free_classes, pool_capacity)
+    pool = t.reserve_pool(data.draw(st.integers(min_value=0, max_value=pool_capacity)))
+    for _ in range(data.draw(st.integers(min_value=1, max_value=12))):
+        if pool and data.draw(st.booleans()):
+            a, b = data.draw(st.sampled_from(pool)), data.draw(st.sampled_from(pool))
+            if a != b and t.orientation(a, b) is None:
+                t.install_pool_arc(a, b)
+        else:
+            c = data.draw(st.integers(min_value=1, max_value=free_classes))
+            outside = [u for u in range(t.vertex_count) if t.class_of(u) != c]
+            signs = st.sampled_from((1, -1))
+            t.query(c, data.draw(st.dictionaries(st.sampled_from(outside), signs, max_size=4)) if outside else {})
+    _assert_realizes_matches_orientation(t, data)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(min_value=2, max_value=4), st.integers(min_value=1, max_value=5), seeds, st.data())
+def test_restricted_realizes_matches_orientation(k, N, seed, data):
+    r = RestrictedTarget(random_target(k, 2, N, seed), data.draw(st.integers(min_value=1, max_value=k - 1)))
+    pool = st.sampled_from(r.pool)
+    for _ in range(data.draw(st.integers(min_value=0, max_value=6))):
+        a, b = data.draw(pool), data.draw(pool)
+        if a != b and r.orientation(a, b) is None:
+            r.install_pool_arc(a, b)
+    _assert_realizes_matches_orientation(r, data)
+
+
 # each target with the state a query or a pool arc may change: installed pool
 # arcs for the restricted target, minted vertices and fixed orientations for
 # the lazy one
